@@ -33,7 +33,6 @@ from .decomposition import (
     exactness_suite,
     make_decomposition,
     make_decomposition_ex1,
-    observer_step,
     replay_observer,
     decomposition_deviation,
 )

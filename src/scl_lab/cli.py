@@ -38,12 +38,18 @@ from .decomposition import (
     UnstableA1,
     exactness_suite,
     make_decomposition,
-    make_decomposition_ex1,
     replay_observer,
 )
 from .metrics import report as evaluate
-from .numerics import DEFAULT_DT
-from .plants import PlantModel, SimulationTrace, build_example2, build_example3, simulate
+from .numerics import DEFAULT_DT, step_count
+from .plants import (
+    PlantModel,
+    SimulationTrace,
+    build_example1,
+    build_example2,
+    build_example3,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -151,25 +157,44 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _time_step(dt: Optional[float], horizons) -> float:
+    """``dt`` (default DEFAULT_DT) once it divides every horizon."""
+    dt = DEFAULT_DT if dt is None else float(dt)
+    for horizon in horizons:
+        try:
+            step_count(0.0, horizon, dt)
+        except ValueError as exc:
+            raise ConfigError(f"invalid time grid: {exc}") from None
+    return dt
+
+
+def _example_horizons():
+    return ([build_example1()[1].t_end, build_example2()[1].t_end]
+            + [sc.t_end for sc in build_example3()[1]])
+
+
 def cmd_run(args) -> int:
     config = RunConfig.resolve(args)
     out_dir = Path(config.out)
 
     setup = build_run(config.example, config.method, config.scenario)
+    horizon = config.t_end if config.t_end is not None else setup.scenario.t_end
+    _time_step(config.dt, [horizon])
     trace = simulate(setup.plant, setup.law, setup.scenario, dt=config.dt,
                      t_end=config.t_end)
     rep = evaluate(trace)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
+    scenario = setup.scenario.label if config.example == "ex3" else None
     meta = {"example": config.example, "method": config.method,
-            "scenario": config.scenario if config.example == "ex3" else None,
+            "scenario": scenario,
             "dt": config.dt, "t_end": float(trace.t[-1]),
             "samples": len(trace)}
     (out_dir / "report.json").write_text(
         json.dumps({**meta, **rep.as_dict()}, indent=2, sort_keys=True) + "\n")
     label = f"{config.example}/{config.method}" + (
-        f"/{config.scenario}" if config.scenario else "")
+        f"/{scenario}" if scenario else "")
     write_plot_svg(trace, out_dir / "plot.svg", label)
 
     print(f"{label}: {rep.classification}", end="")
@@ -183,9 +208,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    dt = args.dt if args.dt is not None else DEFAULT_DT
+    dt = _time_step(args.dt, [sc.t_end for sc in build_example3()[1]])
     out_dir = Path(args.out or _default_out())
-    table = build_table1(dt=float(dt))
+    table = build_table1(dt=dt)
     rows = table.rows()
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,8 +226,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_lemma1_check(args) -> int:
-    dt = args.dt if args.dt is not None else DEFAULT_DT
-    cases = exactness_suite(dt=float(dt))
+    cases = exactness_suite(dt=_time_step(args.dt, _example_horizons()))
     worst = 0.0
     for case in cases:
         print(f"{case.example} input {case.index:2d}: "
@@ -214,25 +238,17 @@ def cmd_lemma1_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _observer_runs():
-    yield "ex1", "sclc", None
-    yield "ex2", "sclc", None
-    for sc in SCENARIOS_EX3:
-        yield "ex3", "sclc", sc
+_OBSERVER_RUNS = ([("ex1", None), ("ex2", None)]
+                  + [("ex3", sc) for sc in SCENARIOS_EX3])
 
 
 def cmd_observer_check(args) -> int:
-    dt = args.dt if args.dt is not None else DEFAULT_DT
-    plant2, _ = build_example2()
-    plant3, _ = build_example3()
-    decs = {"ex1": make_decomposition_ex1(20.0),
-            "ex2": make_decomposition(plant2),
-            "ex3": make_decomposition(plant3)}
+    dt = _time_step(args.dt, _example_horizons())
     ok = True
-    for example, method, sc in _observer_runs():
-        setup = build_run(example, method, sc)
-        trace = simulate(setup.plant, setup.law, setup.scenario, dt=float(dt))
-        dev = replay_observer(decs[example], trace)
+    for example, sc in _OBSERVER_RUNS:
+        setup = build_run(example, "sclc", sc)
+        trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt)
+        dev = replay_observer(setup.law.dec, trace)
         label = example + (f"({sc})" if sc else "")
         good = dev < OBSERVER_TOL
         ok = ok and good

@@ -3,8 +3,9 @@ feedback-linearizing controllers with their singularity guards, and a
 disturbance-rejection law built on a linear extended state observer.
 
 All laws implement the small ControlLaw interface used by the simulation
-harness: ``step(x, ref, t, dt) -> u`` plus ``reset``.  Laws are
-deterministic for identical call sequences and single-owner mutable.
+harness: ``step(x, ref, t, dt) -> u`` plus ``reset``, and the declared
+stage-feedback and singular-event attributes.  Laws are deterministic for
+identical call sequences and single-owner mutable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, rk4_step
 
 # Feedback-linearizing input transforms are declared singular when the
 # denominator magnitude drops below this.
@@ -37,12 +38,24 @@ class SingularInput(RuntimeError):
 
 
 class ControlLaw:
-    """Uniform controller interface: measured state in, input vector out."""
+    """Uniform controller interface: measured state in, input vector out.
+
+    A ``stage_feedback`` law has the harness evaluate ``control_clamped``
+    at every RK4 stage state (the continuous closed loop) instead of
+    holding the sampled command over the step.
+    """
 
     name = "law"
+    stage_feedback = False
+    singular_count = 0
+    near_singular_count = 0
 
     def step(self, x, ref, t, dt) -> np.ndarray:
         raise NotImplementedError
+
+    def control_clamped(self, x) -> np.ndarray:
+        """Stage feedback ``control(x)``; guarded laws clamp instead of raising."""
+        return self.control(x)
 
     def reset(self):
         pass
@@ -114,14 +127,7 @@ class PidTrackingLaw(ControlLaw):
 
 
 class LqrLaw(ControlLaw):
-    """Static full-state feedback u = -K x.
-
-    ``stage_feedback`` opts the simulation harness into evaluating the
-    law at RK4 stage states (the continuous closed loop) instead of
-    holding the sampled command over the step.
-    """
-
-    stage_feedback = False
+    """Static full-state feedback u = -K x, optionally stage-fed."""
 
     def __init__(self, K, name="lqr", stage_feedback=False):
         self.K = as_matrix(K, name="K")
@@ -144,9 +150,6 @@ class ZeroLaw(ControlLaw):
         self.m = m
 
     def step(self, x, ref, t, dt):
-        return np.zeros(self.m)
-
-    def control(self, x):
         return np.zeros(self.m)
 
     def u_s(self, x, xhat_s):
@@ -284,18 +287,6 @@ def leso_error_matrix(omega0: float) -> np.ndarray:
     ])
 
 
-@dataclass
-class LesoState:
-    """Extended-state estimates (x1, x2, lumped disturbance x3)."""
-
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-
 class AdrcLaw(ControlLaw):
     """Disturbance-rejection law: LESO plus u = -x3_hat/b + u0.
 
@@ -330,20 +321,15 @@ class AdrcLaw(ControlLaw):
             -w0 ** 3 * e1,
         ])
 
-    def _advance(self, y, u, dt):
-        xh = self.xhat
-        k1 = self._leso_rate(xh, y, u)
-        k2 = self._leso_rate(xh + 0.5 * dt * k1, y, u)
-        k3 = self._leso_rate(xh + 0.5 * dt * k2, y, u)
-        k4 = self._leso_rate(xh + dt * k3, y, u)
-        self.xhat = xh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def step(self, x, ref, t, dt):
         y = float(x[0])
         if self._prev is None:
             self.xhat[0] = y
         else:
-            self._advance(*self._prev, dt)
+            y_prev, u_prev = self._prev
+            self.xhat = rk4_step(
+                lambda _t, xh: self._leso_rate(xh, y_prev, u_prev),
+                t - dt, self.xhat, dt)
         u0 = -(self.K[0] * float(x[0]) + self.K[1] * float(x[1]))
         u = -self.xhat[2] / self.b + u0
         self._prev = (y, u)
@@ -352,7 +338,3 @@ class AdrcLaw(ControlLaw):
     def reset(self):
         self.xhat = np.zeros(3)
         self._prev = None
-
-    @property
-    def state(self) -> LesoState:
-        return LesoState(*self.xhat)

@@ -29,8 +29,14 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .controllers import ControlLaw
-from .numerics import as_matrix, as_vector, is_hurwitz, jacobian_fd, step_count
-from .plants import PlantModel
+from .numerics import as_matrix, as_vector, is_hurwitz, jacobian_fd, rk4_step, step_count
+from .plants import (
+    PlantModel,
+    _ex1_field,
+    build_example1,
+    build_example2,
+    build_example3,
+)
 
 
 class UnstableA1(RuntimeError):
@@ -80,13 +86,8 @@ class Decomposition:
         u = as_vector(u, dim=self.m)
         u_s = as_vector(u_s, dim=self.m)
         drive = self.model_field(0.0, x, u) - self.A1 @ x + self.B1 @ (u_s - u)
-        xs = self.xhat_s
-        # xs' = A1 xs + drive is linear; expand the four stages directly.
-        k1 = self.A1 @ xs + drive
-        k2 = self.A1 @ (xs + 0.5 * dt * k1) + drive
-        k3 = self.A1 @ (xs + 0.5 * dt * k2) + drive
-        k4 = self.A1 @ (xs + dt * k3) + drive
-        self.xhat_s = xs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.xhat_s = rk4_step(lambda _t, xs: self.A1 @ xs + drive, 0.0,
+                               self.xhat_s, dt)
         return self.xhat_s
 
     def estimates(self, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,11 +123,6 @@ def make_decomposition(plant: PlantModel) -> Decomposition:
                          remainder_field=plant.remainder_field)
 
 
-def _ex1_model_field(t, x, u):
-    xv = x[..., 0]
-    return np.stack((-4.0 * xv + xv * u[..., 0],), axis=-1)
-
-
 def make_decomposition_ex1(y_d: float) -> Decomposition:
     """Special primary choice for the scalar bilinear plant.
 
@@ -147,19 +143,15 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
              + gain * u_s[..., 0],), axis=-1)
 
     return Decomposition(np.array([[-4.0]]), np.array([[gain]]),
-                         _ex1_model_field, 1, 1, remainder_field=remainder)
-
-
-def observer_step(dec: Decomposition, x, u, u_s, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance the remainder observer one step and return (xhat_p, xhat_s)."""
-    dec.advance(x, u, u_s, dt)
-    return dec.estimates(x)
+                         lambda t, x, u: _ex1_field(t, x, u, 0.0), 1, 1,
+                         remainder_field=remainder)
 
 
 class CompositeLaw(ControlLaw):
     """Two-channel controller: primary law on xhat_p, secondary on (x, xhat_s).
 
-    The emitted input is exactly u_p + u_s.  The observer is advanced at
+    The secondary law provides ``u_s(x, xhat_s)`` and ``reset()``.  The
+    emitted input is exactly u_p + u_s.  The observer is advanced at
     the start of each step using the previous step's (x, u, u_s) held
     constant, keeping the loop causal; the laws then act on estimates
     current at the step time.
@@ -195,7 +187,7 @@ class CompositeLaw(ControlLaw):
     def reset(self):
         self.dec.reset()
         self.primary.reset()
-        if self.secondary is not None and hasattr(self.secondary, "reset"):
+        if self.secondary is not None:
             self.secondary.reset()
         self._prev = None
         self._comps = None
@@ -220,8 +212,7 @@ def replay_observer(dec: Decomposition, trace) -> float:
 
 # --- Decomposition exactness (x = xp + xs) --------------------------------
 
-def _decomposition_deviation(model_field, A1, B1, remainder_field,
-                             u_of_t, up_of_t, d, x0,
+def _decomposition_deviation(dec: Decomposition, u_of_t, up_of_t, d, x0,
                              t_end: float, dt: float) -> np.ndarray:
     """Max deviation |x - (xp + xs)|_inf when the original, primary and
     secondary systems are co-integrated under a shared input split.
@@ -244,24 +235,18 @@ def _decomposition_deviation(model_field, A1, B1, remainder_field,
         xs = z[..., 2 * n:]
         u = u_of_t(t)
         up = up_of_t(t)
-        fx = model_field(t, x, u)
-        lin = xp @ A1.T + up @ B1.T
-        if remainder_field is not None:
-            ds = remainder_field(t, x, xs, u, u - up)
+        fx = dec.model_field(t, x, u)
+        lin = xp @ dec.A1.T + up @ dec.B1.T
+        if dec.remainder_field is not None:
+            ds = dec.remainder_field(t, x, xs, u, u - up)
         else:
             ds = fx - lin
         return np.concatenate((fx + d, lin + d, ds), axis=-1)
 
     z = np.concatenate((x0, x0, np.zeros_like(x0)), axis=-1)
     worst = np.zeros(batch)
-    steps = step_count(0.0, t_end, dt)
-    for k in range(steps):
-        t = k * dt
-        k1 = combined_rate(t, z)
-        k2 = combined_rate(t + 0.5 * dt, z + 0.5 * dt * k1)
-        k3 = combined_rate(t + 0.5 * dt, z + 0.5 * dt * k2)
-        k4 = combined_rate(t + dt, z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for k in range(step_count(0.0, t_end, dt)):
+        z = rk4_step(combined_rate, k * dt, z, dt)
         defect = np.abs(z[..., :n] - z[..., n:2 * n] - z[..., 2 * n:]).max(axis=-1)
         worst = np.maximum(worst, defect)
     return worst
@@ -283,8 +268,7 @@ def decomposition_deviation(plant: PlantModel, dec: Decomposition, u_of_t, d, x0
     up_fn = u_fn if up_of_t is None else (
         lambda t: np.atleast_2d(as_vector(up_of_t(t), dim=m, name="u_p")))
     d_vec = np.zeros(dec.n) if d is None else as_vector(d, dim=dec.n, name="d")
-    dev = _decomposition_deviation(dec.model_field, dec.A1, dec.B1,
-                                   dec.remainder_field, u_fn, up_fn, d_vec,
+    dev = _decomposition_deviation(dec, u_fn, up_fn, d_vec,
                                    as_vector(x0, dim=dec.n), t_end, dt)
     return float(dev[0])
 
@@ -319,29 +303,21 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
     benchmark horizon and reports the worst x - (xp + xs) defect per
     case.  Deterministic for a fixed seed.
     """
-    from .plants import build_example1, build_example2, build_example3
-
     rng = np.random.default_rng(seed)
-    cases: List[ExactnessCase] = []
-
-    plant1, sc1 = build_example1()
-    dec1 = make_decomposition_ex1(20.0)
+    _, sc1 = build_example1()
     plant2, sc2 = build_example2()
-    dec2 = make_decomposition(plant2)
     plant3, scs3 = build_example3()
-    dec3 = make_decomposition(plant3)
-
     runs = [
-        ("ex1", dec1, sc1.disturbance(1), np.tile(sc1.x0, (n_inputs, 1)), sc1.t_end),
-        ("ex2", dec2, sc2.disturbance(3), np.tile(sc2.x0, (n_inputs, 1)), sc2.t_end),
-        ("ex3", dec3, np.array([1.0, 1.0]), np.tile(scs3[0].x0, (n_inputs, 1)), scs3[0].t_end),
+        ("ex1", make_decomposition_ex1(sc1.ref(0.0)), sc1, sc1.disturbance(1)),
+        ("ex2", make_decomposition(plant2), sc2, sc2.disturbance(3)),
+        ("ex3", make_decomposition(plant3), scs3[0], np.array([1.0, 1.0])),
     ]
-    for example, dec, d, x0, t_end in runs:
+    cases: List[ExactnessCase] = []
+    for example, dec, sc, d in runs:
         u_fn = _random_input_batch(rng, n_inputs, dec.m)
         split = rng.uniform(0.0, 1.0, size=(n_inputs, 1))
         up_fn = (lambda t, u=u_fn, s=split: s * u(t))
-        dev = _decomposition_deviation(dec.model_field, dec.A1, dec.B1,
-                                       dec.remainder_field, u_fn, up_fn,
-                                       d, x0, t_end, dt)
+        dev = _decomposition_deviation(dec, u_fn, up_fn, d,
+                                       np.tile(sc.x0, (n_inputs, 1)), sc.t_end, dt)
         cases.extend(ExactnessCase(example, i, float(dev[i])) for i in range(n_inputs))
     return cases

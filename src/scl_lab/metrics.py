@@ -3,7 +3,7 @@ classification for the benchmark table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -99,17 +99,7 @@ class PerformanceReport:
     near_singular_events: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "stable": self.stable,
-            "singular": self.singular,
-            "iae": self.iae,
-            "itae": self.itae,
-            "saturation_interval": list(self.saturation_interval)
-            if self.saturation_interval is not None else None,
-            "final_state_norm": self.final_state_norm,
-            "near_singular_events": self.near_singular_events,
-        }
+        return asdict(self)
 
 
 def report(trace: SimulationTrace,

@@ -83,9 +83,9 @@ def as_matrix(M, rows: Optional[int] = None, cols: Optional[int] = None,
 def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of x' = f(t, x).
 
-    Deterministic for identical inputs.  Raises NonFiniteState when the
-    combined update is not finite (a NaN or Inf at any stage propagates
-    into the sum).
+    ``x`` may be one state ``(n,)`` or a batch ``(B, n)``.  Deterministic
+    for identical inputs.  Raises NonFiniteState when the combined update
+    is not finite (a NaN or Inf at any stage propagates into the sum).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -94,16 +94,16 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
     k4 = f(t + dt, x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteState(t, "RK4 update")
     return out
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """Number of RK4 steps covering [t0, t_end]; dt must divide the span."""
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
-    if dt <= 0.0:
+    if not t0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and exceed t0")
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     span = t_end - t0
     n = int(round(span / dt))
@@ -112,13 +112,12 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
-def integrate(f: Callable, x0, t0: float, t_end: float, dt: float,
-              observer_hook: Optional[Callable] = None) -> List[Tuple[float, np.ndarray]]:
+def integrate(f: Callable, x0, t0: float, t_end: float,
+              dt: float) -> List[Tuple[float, np.ndarray]]:
     """Fixed-step RK4 trajectory of x' = f(t, x) over [t0, t_end].
 
-    Returns ``1 + (t_end - t0)/dt`` samples of (t, x).  The optional
-    ``observer_hook(t, x)`` runs once per step, after the state update.
-    Raises DivergenceDetected (carrying the partial trajectory, divergent
+    Returns ``1 + (t_end - t0)/dt`` samples of (t, x).  Raises
+    DivergenceDetected (carrying the partial trajectory, divergent
     sample included) as soon as |x|_inf exceeds DIVERGENCE_LIMIT.
     """
     x = as_vector(x0)
@@ -129,8 +128,6 @@ def integrate(f: Callable, x0, t0: float, t_end: float, dt: float,
         x = rk4_step(f, t, x, dt)
         t_next = t0 + (k + 1) * dt
         samples.append((t_next, x.copy()))
-        if observer_hook is not None:
-            observer_hook(t_next, x)
         if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
             raise DivergenceDetected(t_next, samples)
     return samples

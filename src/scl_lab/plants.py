@@ -20,6 +20,8 @@ from .numerics import (
     DelayLine,
     NonFiniteState,
     as_vector,
+    rk4_step,
+    step_count,
 )
 
 
@@ -165,7 +167,7 @@ def _ex2_output(x):
 def _ex2_remainder(t, x, xs, u, u_s):
     # A xs + b (sat(u) - u) + b u_s; the trailing term vanishes for the
     # benchmark split u_p = u.
-    drive = np.clip(u[..., 0:1], -2.0, 2.0) - u[..., 0:1] + u_s[..., 0:1]
+    drive = EX2_SAT(u[..., 0:1]) - u[..., 0:1] + u_s[..., 0:1]
     return xs @ EX2_A.T + drive * EX2_B
 
 
@@ -272,21 +274,16 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     Per step: evaluate the control law on the measured state, push the
     command through the (optional) delay line and saturation, hold the
     applied input constant over one RK4 step of the plant, and record
-    every signal.  Stops early, with the divergence flag set, when
-    |x|_inf exceeds the divergence limit or the integrator goes
-    non-finite; the divergent sample itself is not recorded so emitted
-    files stay finite.
+    every signal.  Stops early, with the divergence flag set, when the
+    law emits a non-finite command, |x|_inf exceeds the divergence limit
+    or the integrator goes non-finite; the divergent sample itself is not
+    recorded so emitted files stay finite.
 
     The disturbance is applied to the plant only; the law never sees it.
     The law receives the commanded input history only through its own
     internal state (an input delay is an unmodeled uncertainty).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    horizon = float(t_end if t_end is not None else scenario.t_end)
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError(f"dt={dt:g} does not divide the horizon {horizon:g}")
+    n_steps = step_count(0.0, t_end if t_end is not None else scenario.t_end, dt)
 
     n, m, p = plant.n, plant.m, plant.p
     x = as_vector(scenario.x0, dim=n, name="x0").copy()
@@ -295,8 +292,8 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
               if scenario.input_delay > 0.0 else None)
 
     law.reset()
-    singular_before = _singular_count(law)
-    near_before = _near_singular_count(law)
+    singular_before = law.singular_count
+    near_before = law.near_singular_count
 
     N = n_steps + 1
     rec_t = np.empty(N)
@@ -311,7 +308,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     rec_yd = np.empty(N)
     rec_sat = np.zeros(N, dtype=bool)
 
-    stage_feedback = bool(getattr(law, "stage_feedback", False)) and delays is None
+    stage_feedback = law.stage_feedback and delays is None
 
     diverged = False
     divergence_time = None
@@ -319,7 +316,15 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     for k in range(N):
         t = k * dt
         ref = scenario.ref(t)
-        u_cmd = as_vector(law.step(x, ref, t, dt), dim=m, name="u")
+        try:
+            u_cmd = as_vector(law.step(x, ref, t, dt), dim=m, name="u")
+            finite = all(map(math.isfinite, u_cmd))
+        except NonFiniteState:  # raised by the law's own observer
+            finite = False
+        if not finite:
+            diverged = True
+            divergence_time = t
+            break
         comps = law.components() or {}
         u_delayed = (np.array([delays[j].push(u_cmd[j]) for j in range(m)])
                      if delays is not None else u_cmd)
@@ -364,8 +369,8 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         xhat_p=rec_xhp[:rows], xhat_s=rec_xhs[:rows], y=rec_y[:rows],
         y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
         diverged=diverged, divergence_time=divergence_time,
-        singular_events=_singular_count(law) - singular_before,
-        near_singular_events=_near_singular_count(law) - near_before,
+        singular_events=law.singular_count - singular_before,
+        near_singular_events=law.near_singular_count - near_before,
         tracking=scenario.tracking,
     )
 
@@ -379,29 +384,12 @@ def _plant_step(plant, law, t, x, u_applied, d_vec, dt, stage_feedback):
     delay line.
     """
     if stage_feedback:
-        stage_control = getattr(law, "control_clamped", law.control)
-
         def f(tau, xi):
-            u = stage_control(xi)
+            u = law.control_clamped(xi)
             if plant.saturation is not None:
                 u = plant.saturation(u)
             return plant.field(tau, xi, u, d_vec)
     else:
         def f(tau, xi):
             return plant.field(tau, xi, u_applied, d_vec)
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = f(t + dt, x + dt * k3)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState(t, "plant step")
-    return out
-
-
-def _singular_count(law) -> int:
-    return int(getattr(law, "singular_count", 0))
-
-
-def _near_singular_count(law) -> int:
-    return int(getattr(law, "near_singular_count", 0))
+    return rk4_step(f, t, x, dt)

@@ -48,6 +48,30 @@ class TestRunCommand:
         for row in read_rows(out / "trace.csv")[1:]:
             assert all(cell not in ("nan", "inf", "-inf") for cell in row)
 
+    def test_default_scenario_is_recorded(self, tmp_path, capsys):
+        out = tmp_path / "default"
+        code = main(["run", "--example", "ex3", "--method", "jlc",
+                     "--t-end", "1", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["scenario"] == "i"
+        assert capsys.readouterr().out.startswith("ex3/jlc/i: ")
+
+    def test_single_scenario_examples_record_null(self, tmp_path):
+        out = tmp_path / "ex2"
+        assert main(["run", "--example", "ex2", "--method", "jlc",
+                     "--t-end", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["scenario"] is None
+
+    def test_invalid_time_grid_exits_2(self, tmp_path, capsys):
+        bad = (["--dt", "3e-4"], ["--dt", "0"], ["--dt", "-1"],
+               ["--t-end", "-1"], ["--dt", "nan"], ["--t-end", "inf"])
+        for flags in bad:
+            code = main(["run", "--example", "ex3", "--method", "jlc",
+                         "--out", str(tmp_path / "grid")] + flags)
+            assert code == 2, flags
+            assert "invalid time grid" in capsys.readouterr().err
+        assert not (tmp_path / "grid").exists()
+
     def test_rejected_combinations_exit_2(self, tmp_path, capsys):
         assert main(["run", "--example", "ex2", "--method", "flc",
                      "--out", str(tmp_path)]) == 2
@@ -101,6 +125,12 @@ class TestTableCommand:
         assert [r[0] for r in rows[1::2]] == ["(i)", "(ii)", "(iii)", "(iv)"]
         assert (tmp_path / "table1.txt").exists()
 
+    def test_invalid_dt_exits_2(self, tmp_path, capsys):
+        for dt in ("3e-4", "0", "-1"):
+            assert main(["table1", "--dt", dt, "--out", str(tmp_path)]) == 2
+            assert "invalid time grid" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
 
 class TestCheckCommands:
     def test_lemma_check_passes_at_coarse_step(self, capsys):
@@ -112,3 +142,8 @@ class TestCheckCommands:
         assert main(["observer-check", "--dt", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "non-Hurwitz A1 rejected: OK" in out
+
+    def test_check_commands_reject_invalid_dt(self, capsys):
+        for command in ("lemma1-check", "observer-check"):
+            assert main([command, "--dt", "3e-4"]) == 2
+            assert "invalid time grid" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from scl_lab.decomposition import (
     ZeroReferenceGain,
     make_decomposition,
     make_decomposition_ex1,
-    observer_step,
     replay_observer,
     decomposition_deviation,
 )
@@ -82,7 +81,8 @@ class TestObserver:
         for _ in range(5):
             x = rng.standard_normal(2)
             u = rng.standard_normal(1)
-            xhat_p, xhat_s = observer_step(dec, x, u, np.zeros(1), 1e-3)
+            dec.advance(x, u, np.zeros(1), 1e-3)
+            xhat_p, xhat_s = dec.estimates(x)
             np.testing.assert_allclose(xhat_s, 0.0, atol=1e-15)
             np.testing.assert_allclose(xhat_p, x, atol=1e-15)
 
@@ -94,7 +94,8 @@ class TestObserver:
         for _ in range(5):
             x = rng.standard_normal(3)
             u = rng.uniform(-1.9, 1.9, size=1)
-            _, xhat_s = observer_step(dec, x, u, np.zeros(1), 1e-3)
+            dec.advance(x, u, np.zeros(1), 1e-3)
+            _, xhat_s = dec.estimates(x)
             np.testing.assert_allclose(xhat_s, 0.0, atol=1e-15)
 
     def test_replay_matches_recorded_estimates(self):

@@ -62,13 +62,6 @@ class TestIntegrate:
         assert 13.0 < info.value.t < 14.0
         assert len(info.value.samples) > 1
 
-    def test_observer_hook_runs_once_per_step(self):
-        seen = []
-        integrate(lambda t, x: -x, [1.0], 0.0, 0.1, 1e-2,
-                  observer_hook=lambda t, x: seen.append(t))
-        assert len(seen) == 10
-        assert seen[0] == pytest.approx(0.01)
-
     def test_dt_must_divide_span(self):
         with pytest.raises(ValueError):
             integrate(lambda t, x: -x, [1.0], 0.0, 1.0, 3e-4)

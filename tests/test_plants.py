@@ -154,6 +154,20 @@ class TestHarness:
         assert np.all(np.isfinite(trace.x))
         assert len(trace) < 10001
 
+    def test_non_finite_command_truncates_cleanly(self):
+        plant, scs = build_example3()
+
+        class NanFromHalfSecond(ControlLaw):
+            def step(self, x, ref, t, dt):
+                return np.array([math.nan if t >= 0.5 else 0.0])
+
+        trace = simulate(plant, NanFromHalfSecond(), scs[0], dt=1e-3)
+        assert len(trace) == 500
+        assert trace.diverged
+        assert trace.divergence_time == 0.5
+        assert np.all(np.isfinite(trace.u_cmd))
+        assert np.all(np.isfinite(trace.u_applied))
+
     def test_dt_must_divide_horizon(self):
         plant, sc = build_example1()
         with pytest.raises(ValueError):
