@@ -64,46 +64,36 @@ def _default_out() -> str:
     return os.environ.get("SCL_LAB_OUT", "out")
 
 
-def _fmt15(v: float) -> str:
-    return f"{v:.15g}"
-
-
 def write_trace_csv(trace: SimulationTrace, path: Path):
-    """RFC-4180 CSV with 15 significant digits; byte-identical per run."""
-    n = trace.x.shape[1]
-    m = trace.u_cmd.shape[1]
-    p = trace.y.shape[1]
+    """RFC-4180 CSV with 15 significant digits; byte-identical per run.
 
-    def cols(base, count):
-        return [base] if count == 1 else [f"{base}{j + 1}" for j in range(count)]
-
-    header = (["t"] + [f"x{j + 1}" for j in range(n)]
-              + cols("u_commanded", m) + cols("u_applied", m)
-              + cols("u_p", m) + cols("u_s", m)
-              + [f"xhat_p{j + 1}" for j in range(n)]
-              + [f"xhat_s{j + 1}" for j in range(n)]
-              + (["y"] if p == 1 else [f"y{j + 1}" for j in range(p)])
-              + ["y_d"])
+    Each block is ``(name, 2-D column array, numbered)``; a block's
+    columns are ``name1..namek``, or just ``name`` when it has a single
+    column and is not ``numbered``.
+    """
+    blocks = [("t", trace.t[:, None], False), ("x", trace.x, True),
+              ("u_commanded", trace.u_cmd, False),
+              ("u_applied", trace.u_applied, False),
+              ("u_p", trace.u_p, False), ("u_s", trace.u_s, False),
+              ("xhat_p", trace.xhat_p, True), ("xhat_s", trace.xhat_s, True),
+              ("y", trace.y, False), ("y_d", trace.y_d[:, None], False)]
+    header = ",".join(
+        name if cols.shape[1] == 1 and not numbered else f"{name}{j + 1}"
+        for name, cols, numbered in blocks for j in range(cols.shape[1]))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(trace)):
-            row = ([trace.t[k]] + list(trace.x[k])
-                   + list(trace.u_cmd[k]) + list(trace.u_applied[k])
-                   + list(trace.u_p[k]) + list(trace.u_s[k])
-                   + list(trace.xhat_p[k]) + list(trace.xhat_s[k])
-                   + list(trace.y[k]) + [trace.y_d[k]])
-            writer.writerow([_fmt15(v) for v in row])
+        np.savetxt(fh, np.hstack([cols for _, cols, _ in blocks]),
+                   fmt="%.15g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
 
 
 def write_plot_svg(trace: SimulationTrace, path: Path, title: str):
-    t = list(trace.t)
-    state_series = [(f"x{j + 1}", t, list(trace.x[:, j]))
+    t = trace.t
+    state_series = [(f"x{j + 1}", t, trace.x[:, j])
                     for j in range(trace.x.shape[1])]
     if trace.tracking:
-        state_series.append(("y_d", t, list(trace.y_d)))
-    input_series = [("u_commanded", t, list(trace.u_cmd[:, 0])),
-                    ("u_applied", t, list(trace.u_applied[:, 0]))]
+        state_series.append(("y_d", t, trace.y_d))
+    input_series = [("u_commanded", t, trace.u_cmd[:, 0]),
+                    ("u_applied", t, trace.u_applied[:, 0])]
     doc = svg.render([
         svg.Panel(f"{title}: state", "t [s]", "state", state_series),
         svg.Panel(f"{title}: input", "t [s]", "input", input_series),
@@ -154,15 +144,20 @@ def _load_config(path: Optional[str]) -> dict:
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("dt", "t_end"):
+        # JSON numbers load as int or float; bool is an int subclass.
+        if key in cfg and type(cfg[key]) not in (int, float):
+            raise ConfigError(f"config {key!r} must be a number, got {cfg[key]!r}")
     return cfg
 
 
-def _time_step(dt: Optional[float], horizons) -> float:
-    """``dt`` (default DEFAULT_DT) once it divides every horizon."""
+def _time_step(dt: Optional[float], horizons, delays=()) -> float:
+    """``dt`` (default DEFAULT_DT) once it divides every horizon and
+    every positive input delay."""
     dt = DEFAULT_DT if dt is None else float(dt)
-    for horizon in horizons:
+    for span in [*horizons, *(d for d in delays if d > 0.0)]:
         try:
-            step_count(0.0, horizon, dt)
+            step_count(0.0, span, dt)
         except ValueError as exc:
             raise ConfigError(f"invalid time grid: {exc}") from None
     return dt
@@ -179,7 +174,7 @@ def cmd_run(args) -> int:
 
     setup = build_run(config.example, config.method, config.scenario)
     horizon = config.t_end if config.t_end is not None else setup.scenario.t_end
-    _time_step(config.dt, [horizon])
+    _time_step(config.dt, [horizon], [setup.scenario.input_delay])
     trace = simulate(setup.plant, setup.law, setup.scenario, dt=config.dt,
                      t_end=config.t_end)
     rep = evaluate(trace)
@@ -208,7 +203,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    dt = _time_step(args.dt, [sc.t_end for sc in build_example3()[1]])
+    scenarios = build_example3()[1]
+    dt = _time_step(args.dt, [sc.t_end for sc in scenarios],
+                    [sc.input_delay for sc in scenarios])
     out_dir = Path(args.out or _default_out())
     table = build_table1(dt=dt)
     rows = table.rows()
@@ -243,7 +240,8 @@ _OBSERVER_RUNS = ([("ex1", None), ("ex2", None)]
 
 
 def cmd_observer_check(args) -> int:
-    dt = _time_step(args.dt, _example_horizons())
+    dt = _time_step(args.dt, _example_horizons(),
+                    [sc.input_delay for sc in build_example3()[1]])
     ok = True
     for example, sc in _OBSERVER_RUNS:
         setup = build_run(example, "sclc", sc)

@@ -43,6 +43,12 @@ class ControlLaw:
     A ``stage_feedback`` law has the harness evaluate ``control_clamped``
     at every RK4 stage state (the continuous closed loop) instead of
     holding the sampled command over the step.
+
+    ``channels(u)`` splits the command ``u`` just returned by ``step``
+    into ``(u_p, u_s, xhat_s)``: the primary input, the secondary input
+    and the remainder-state estimate the trace records.  Each entry is
+    an array or a scalar that broadcasts to its trace row.  A
+    single-channel law is all primary: ``(u, 0.0, 0.0)``.
     """
 
     name = "law"
@@ -60,9 +66,9 @@ class ControlLaw:
     def reset(self):
         pass
 
-    def components(self) -> Optional[dict]:
-        """Per-step channel breakdown for the trace; None means defaults."""
-        return None
+    def channels(self, u):
+        """``(u_p, u_s, xhat_s)`` behind the command ``u`` of the last step."""
+        return u, 0.0, 0.0
 
 
 @dataclass(frozen=True)

@@ -138,9 +138,8 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
 
     def remainder(t, x, xs, u, u_s):
         uv = u[..., 0]
-        return np.stack(
-            (-4.0 * xs[..., 0] + x[..., 0] * uv - gain * uv
-             + gain * u_s[..., 0],), axis=-1)
+        return (-4.0 * xs[..., 0] + x[..., 0] * uv - gain * uv
+                + gain * u_s[..., 0])[..., None]
 
     return Decomposition(np.array([[-4.0]]), np.array([[gain]]),
                          lambda t, x, u: _ex1_field(t, x, u, 0.0), 1, 1,
@@ -164,7 +163,7 @@ class CompositeLaw(ControlLaw):
         self.secondary = secondary
         self.name = name
         self._prev: Optional[tuple] = None
-        self._comps: Optional[dict] = None
+        self._channels: Optional[tuple] = None
 
     def step(self, x, ref, t, dt):
         x = as_vector(x, dim=self.dec.n)
@@ -178,11 +177,11 @@ class CompositeLaw(ControlLaw):
             u_s = np.zeros(self.dec.m)
         u = u_p + u_s
         self._prev = (x.copy(), u.copy(), u_s.copy())
-        self._comps = {"u_p": u_p, "u_s": u_s, "xhat_p": xhat_p, "xhat_s": xhat_s}
+        self._channels = (u_p, u_s, xhat_s)
         return u
 
-    def components(self):
-        return self._comps
+    def channels(self, u):
+        return self._channels
 
     def reset(self):
         self.dec.reset()
@@ -190,7 +189,7 @@ class CompositeLaw(ControlLaw):
         if self.secondary is not None:
             self.secondary.reset()
         self._prev = None
-        self._comps = None
+        self._channels = None
 
 
 def replay_observer(dec: Decomposition, trace) -> float:

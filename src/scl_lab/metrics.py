@@ -4,7 +4,7 @@ classification for the benchmark table."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,36 +21,32 @@ def stabilization_error(trace: SimulationTrace) -> np.ndarray:
 
 
 def tracking_error(trace: SimulationTrace) -> np.ndarray:
-    """Per-sample reference error y_d - y (first output channel)."""
-    return trace.y_d - trace.y[:, 0]
+    """Per-sample reference error y_d - y (first output channel).
 
-
-def default_error(trace: SimulationTrace) -> np.ndarray:
-    """Control error behind the benchmark indices: y_d - y.
-
+    This is the control error behind the benchmark indices.
     Stabilization runs have y_d = 0, so the indices integrate |y|; this
     output-error convention is what reproduces the benchmark table
     (state-norm variants were 1.3x to 2x off on every cell).
     """
-    return tracking_error(trace)
+    return trace.y_d - trace.y[:, 0]
 
 
 def _trapezoid(w: np.ndarray, t: np.ndarray) -> float:
     return float(0.5 * np.sum((w[1:] + w[:-1]) * np.diff(t)))
 
 
-def iae(trace: SimulationTrace, error_extractor: Callable = default_error) -> float:
+def iae(trace: SimulationTrace) -> float:
     """Integral of the absolute error over the trace (trapezoidal)."""
     if trace.diverged:
         raise DivergentTrace("IAE undefined: trace diverged")
-    return _trapezoid(np.abs(error_extractor(trace)), trace.t)
+    return _trapezoid(np.abs(tracking_error(trace)), trace.t)
 
 
-def itae(trace: SimulationTrace, error_extractor: Callable = default_error) -> float:
+def itae(trace: SimulationTrace) -> float:
     """Integral of time-weighted absolute error over the trace."""
     if trace.diverged:
         raise DivergentTrace("ITAE undefined: trace diverged")
-    return _trapezoid(trace.t * np.abs(error_extractor(trace)), trace.t)
+    return _trapezoid(trace.t * np.abs(tracking_error(trace)), trace.t)
 
 
 def saturation_interval(trace: SimulationTrace) -> Optional[Tuple[float, float]]:
@@ -102,14 +98,13 @@ class PerformanceReport:
         return asdict(self)
 
 
-def report(trace: SimulationTrace,
-           error_extractor: Callable = default_error) -> PerformanceReport:
+def report(trace: SimulationTrace) -> PerformanceReport:
     """Assemble the performance report for one trace."""
     label = classify(trace)
     stable = not trace.diverged
     if stable:
-        run_iae = iae(trace, error_extractor)
-        run_itae = itae(trace, error_extractor)
+        run_iae = iae(trace)
+        run_itae = itae(trace)
     else:
         run_iae = None
         run_itae = None

@@ -324,10 +324,11 @@ def solve_care(p: CareProblem) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class DelayLine:
-    """Pure transport delay quantized to the integration grid.
+    """Pure transport delay on the integration grid.
 
-    Holds round(delay/dt) samples; until the line fills, the output is
-    ``fill_value``.  A zero delay is the identity.
+    Holds delay/dt samples, and ``dt`` must divide a positive delay
+    (ValueError otherwise, as for a horizon); until the line fills, the
+    output is ``fill_value``.  A zero delay is the identity.
     """
 
     def __init__(self, delay: float, dt: float, fill_value: float = 0.0):
@@ -338,11 +339,11 @@ class DelayLine:
         self.delay = float(delay)
         self.dt = float(dt)
         self.fill_value = float(fill_value)
-        self.steps = int(round(delay / dt))
+        self.steps = step_count(0.0, delay, dt) if delay > 0.0 else 0
         self._buf: deque = deque([self.fill_value] * self.steps, maxlen=self.steps or 1)
 
     def push(self, sample: float) -> float:
-        """Feed one sample in, pop the sample from round(delay/dt) steps ago."""
+        """Feed one sample in, pop the sample from delay/dt steps ago."""
         if self.steps == 0:
             return float(sample)
         out = self._buf.popleft()

@@ -109,9 +109,10 @@ class Scenario:
 class SimulationTrace:
     """Uniform-grid record of one closed-loop run.
 
-    ``xhat_p + xhat_s == x`` holds exactly whenever the run used the
-    compensation observer; for plain state-feedback methods the columns
-    degenerate to ``xhat_p = x`` and ``xhat_s = 0``.
+    ``u_p``, ``u_s`` and ``xhat_s`` are what the law's ``channels``
+    reported each step; ``xhat_p`` is ``x - xhat_s`` by construction.
+    For plain state-feedback methods the columns degenerate to
+    ``u_p = u_cmd``, ``u_s = 0``, ``xhat_p = x`` and ``xhat_s = 0``.
     """
 
     t: np.ndarray
@@ -141,7 +142,7 @@ class SimulationTrace:
 def _ex1_field(t, x, u, d):
     xv = x[..., 0]
     uv = u[..., 0]
-    return np.stack((-4.0 * xv + xv * uv,), axis=-1) + d
+    return (-4.0 * xv + xv * uv)[..., None] + d
 
 
 def _ex1_output(x):
@@ -302,7 +303,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     rec_uapp = np.empty((N, m))
     rec_up = np.empty((N, m))
     rec_us = np.empty((N, m))
-    rec_xhp = np.empty((N, n))
     rec_xhs = np.empty((N, n))
     rec_y = np.empty((N, p))
     rec_yd = np.empty(N)
@@ -325,7 +325,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
             diverged = True
             divergence_time = t
             break
-        comps = law.components() or {}
         u_delayed = (np.array([delays[j].push(u_cmd[j]) for j in range(m)])
                      if delays is not None else u_cmd)
         if plant.saturation is not None:
@@ -339,10 +338,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         rec_x[k] = x
         rec_ucmd[k] = u_cmd
         rec_uapp[k] = u_applied
-        rec_up[k] = comps.get("u_p", u_cmd)
-        rec_us[k] = comps.get("u_s", np.zeros(m))
-        rec_xhp[k] = comps.get("xhat_p", x)
-        rec_xhs[k] = comps.get("xhat_s", np.zeros(n))
+        rec_up[k], rec_us[k], rec_xhs[k] = law.channels(u_cmd)
         rec_y[k] = plant.output(x)
         rec_yd[k] = ref
         rec_sat[k] = saturated
@@ -366,8 +362,8 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     return SimulationTrace(
         t=rec_t[:rows], x=rec_x[:rows], u_cmd=rec_ucmd[:rows],
         u_applied=rec_uapp[:rows], u_p=rec_up[:rows], u_s=rec_us[:rows],
-        xhat_p=rec_xhp[:rows], xhat_s=rec_xhs[:rows], y=rec_y[:rows],
-        y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
+        xhat_p=rec_x[:rows] - rec_xhs[:rows], xhat_s=rec_xhs[:rows],
+        y=rec_y[:rows], y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
         diverged=diverged, divergence_time=divergence_time,
         singular_events=law.singular_count - singular_before,
         near_singular_events=law.near_singular_count - near_before,

@@ -1,7 +1,16 @@
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
-from scl_lab.cli import main
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from scl_lab.cli import main, write_trace_csv
+from scl_lab.plants import SimulationTrace
 
 
 def read_rows(path):
@@ -72,6 +81,26 @@ class TestRunCommand:
             assert "invalid time grid" in capsys.readouterr().err
         assert not (tmp_path / "grid").exists()
 
+    def test_delay_not_on_grid_exits_2(self, tmp_path, capsys):
+        # 0.0625 divides the 10 s horizon but not the 0.2 s input delay.
+        code = main(["run", "--example", "ex3", "--method", "sclc",
+                     "--scenario", "iv", "--dt", "0.0625",
+                     "--out", str(tmp_path / "delay")])
+        assert code == 2
+        assert "invalid time grid" in capsys.readouterr().err
+        assert not (tmp_path / "delay").exists()
+
+    def test_non_numeric_config_time_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        for key in ("dt", "t_end"):
+            for value in ("abc", None, True):
+                cfg.write_text(json.dumps({"example": "ex3", "method": "jlc",
+                                           key: value}))
+                assert main(["run", "--config", str(cfg),
+                             "--out", str(tmp_path / "cfg")]) == 2, (key, value)
+                assert "must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "cfg").exists()
+
     def test_rejected_combinations_exit_2(self, tmp_path, capsys):
         assert main(["run", "--example", "ex2", "--method", "flc",
                      "--out", str(tmp_path)]) == 2
@@ -131,6 +160,11 @@ class TestTableCommand:
             assert "invalid time grid" in capsys.readouterr().err
         assert not (tmp_path / "table1.csv").exists()
 
+    def test_delay_not_on_grid_exits_2(self, tmp_path, capsys):
+        assert main(["table1", "--dt", "0.0625", "--out", str(tmp_path)]) == 2
+        assert "invalid time grid" in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
 
 class TestCheckCommands:
     def test_lemma_check_passes_at_coarse_step(self, capsys):
@@ -147,3 +181,61 @@ class TestCheckCommands:
         for command in ("lemma1-check", "observer-check"):
             assert main([command, "--dt", "3e-4"]) == 2
             assert "invalid time grid" in capsys.readouterr().err
+
+    def test_observer_check_rejects_delay_not_on_grid(self, capsys):
+        assert main(["observer-check", "--dt", "0.0625"]) == 2
+        assert "invalid time grid" in capsys.readouterr().err
+
+
+def reference_trace_csv(trace):
+    """Row-by-row writer: csv.writer with f"{v:.15g}" per cell."""
+    n, m, p = trace.x.shape[1], trace.u_cmd.shape[1], trace.y.shape[1]
+
+    def cols(base, count):
+        return [base] if count == 1 else [f"{base}{j + 1}" for j in range(count)]
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x{j + 1}" for j in range(n)]
+                    + cols("u_commanded", m) + cols("u_applied", m)
+                    + cols("u_p", m) + cols("u_s", m)
+                    + [f"xhat_p{j + 1}" for j in range(n)]
+                    + [f"xhat_s{j + 1}" for j in range(n)]
+                    + cols("y", p) + ["y_d"])
+    for k in range(len(trace)):
+        row = ([trace.t[k]] + list(trace.x[k])
+               + list(trace.u_cmd[k]) + list(trace.u_applied[k])
+               + list(trace.u_p[k]) + list(trace.u_s[k])
+               + list(trace.xhat_p[k]) + list(trace.xhat_s[k])
+               + list(trace.y[k]) + [trace.y_d[k]])
+        writer.writerow([f"{v:.15g}" for v in row])
+    return buf.getvalue().encode()
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 40))
+    # Finite doubles; hypothesis mixes in -0.0, subnormals and extremes.
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+
+    def block(cols):
+        return draw(hnp.arrays(np.float64, (rows, cols), elements=cells))
+
+    return SimulationTrace(
+        t=block(1)[:, 0], x=block(n), u_cmd=block(m), u_applied=block(m),
+        u_p=block(m), u_s=block(m), xhat_p=block(n), xhat_s=block(n),
+        y=block(p), y_d=block(1)[:, 0], sat_active=np.zeros(rows, dtype=bool),
+        dt=1e-3)
+
+
+class TestTraceCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(trace=traces())
+    def test_matches_row_by_row_writer(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(trace, path)
+            assert path.read_bytes() == reference_trace_csv(trace)

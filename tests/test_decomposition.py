@@ -132,9 +132,9 @@ class TestCompositeLaw:
         u_s = BacksteppingSecondary(BACKSTEPPING).u_s(x0, np.zeros(2))[0]
         assert u_s == pytest.approx(-8.0 - 10.0 * math.sin(2.0), abs=1e-12)
         assert u[0] == pytest.approx(u_p + u_s, abs=1e-12)
-        comps = setup.law.components()
-        assert comps["u_p"][0] == pytest.approx(u_p, abs=1e-12)
-        assert comps["u_s"][0] == pytest.approx(u_s, abs=1e-12)
+        law_u_p, law_u_s, _ = setup.law.channels(u)
+        assert law_u_p[0] == pytest.approx(u_p, abs=1e-12)
+        assert law_u_s[0] == pytest.approx(u_s, abs=1e-12)
 
     def test_bilinear_composite_is_pure_primary(self):
         setup = build_run("ex1", "sclc")

@@ -219,3 +219,8 @@ class TestDelayLine:
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             DelayLine(-0.1, 1e-3)
+
+    def test_rejects_step_that_does_not_divide_delay(self):
+        # round(0.2 / 0.0625) = 3 would silently run a 0.1875 s delay.
+        with pytest.raises(ValueError, match="does not divide"):
+            DelayLine(0.2, 0.0625)
