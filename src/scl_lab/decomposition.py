@@ -19,16 +19,21 @@ signals only, the secondary dynamics become
 which is exactly the observer ODE: integrating it from zero initial
 state reproduces xs, and xp = x - xs follows algebraically.  A1 must be
 Hurwitz for the open-loop observer to be usable.
+
+A Decomposition is the model only, with no run state: ``advance`` maps
+one remainder estimate to the next.  The estimate belongs to whoever
+integrates it, the composite law during a run or ``replay_observer``
+afterwards, so one model can back any number of laws and replays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .controllers import ControlLaw
+from .controllers import ControlLaw, ZeroLaw
 from .numerics import as_matrix, as_vector, is_hurwitz, jacobian_fd, rk4_step, step_count
 from .plants import (
     PlantModel,
@@ -55,7 +60,7 @@ class NonDifferentiable(RuntimeError):
 
 @dataclass
 class Decomposition:
-    """(A1, B1, model field) bundle plus the observer state it owns.
+    """The (A1, B1, model field) model of the additive split; no run state.
 
     ``model_field(t, x, u)`` is the disturbance-free plant model with any
     known saturation block applied; the observer never sees the
@@ -70,35 +75,17 @@ class Decomposition:
     n: int
     m: int
     remainder_field: Optional[Callable] = None
-    xhat_s: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A1 = as_matrix(self.A1, rows=self.n, cols=self.n, name="A1")
         self.B1 = as_matrix(self.B1, rows=self.n, cols=self.m, name="B1")
-        self.xhat_s = np.zeros(self.n)
 
-    def reset(self):
-        self.xhat_s = np.zeros(self.n)
-
-    def advance(self, x, u, u_s, dt: float) -> np.ndarray:
-        """One RK4 step of the observer ODE with (x, u, u_s) held constant."""
-        x = as_vector(x, dim=self.n)
-        u = as_vector(u, dim=self.m)
-        u_s = as_vector(u_s, dim=self.m)
+    def advance(self, xhat_s, x, u, u_s, dt: float) -> np.ndarray:
+        """The remainder estimate one RK4 step after ``xhat_s``, with
+        (x, u, u_s) held constant.  Pure: the caller keeps the estimate
+        and passes (n,)/(m,) float arrays."""
         drive = self.model_field(0.0, x, u) - self.A1 @ x + self.B1 @ (u_s - u)
-        self.xhat_s = rk4_step(lambda _t, xs: self.A1 @ xs + drive, 0.0,
-                               self.xhat_s, dt)
-        return self.xhat_s
-
-    def estimates(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """Current (xhat_p, xhat_s); the sum equals x by construction."""
-        x = as_vector(x, dim=self.n)
-        return x - self.xhat_s, self.xhat_s.copy()
-
-    def fresh(self) -> "Decomposition":
-        return Decomposition(self.A1.copy(), self.B1.copy(),
-                             self.model_field, self.n, self.m,
-                             remainder_field=self.remainder_field)
+        return rk4_step(lambda _t, xs: self.A1 @ xs + drive, 0.0, xhat_s, dt)
 
 
 def make_decomposition(plant: PlantModel) -> Decomposition:
@@ -149,32 +136,31 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
 class CompositeLaw(ControlLaw):
     """Two-channel controller: primary law on xhat_p, secondary on (x, xhat_s).
 
-    The secondary law provides ``u_s(x, xhat_s)`` and ``reset()``.  The
-    emitted input is exactly u_p + u_s.  The observer is advanced at
-    the start of each step using the previous step's (x, u, u_s) held
-    constant, keeping the loop causal; the laws then act on estimates
-    current at the step time.
+    The law owns the run's remainder estimate ``xhat_s`` (zero after
+    ``reset``); ``dec`` is only the model it integrates.  The secondary
+    law provides ``u_s(x, xhat_s)`` and ``reset()``; it defaults to
+    ``ZeroLaw(m)``, a zero secondary channel.  The emitted input is
+    exactly u_p + u_s.  The estimate is advanced at the start of each
+    step using the previous step's (x, u, u_s) held constant, keeping
+    the loop causal; the laws then act on estimates current at the step
+    time.
     """
 
     def __init__(self, dec: Decomposition, primary: ControlLaw,
                  secondary=None, name="sclc"):
         self.dec = dec
         self.primary = primary
-        self.secondary = secondary
+        self.secondary = ZeroLaw(dec.m) if secondary is None else secondary
         self.name = name
-        self._prev: Optional[tuple] = None
-        self._channels: Optional[tuple] = None
+        self.reset()
 
     def step(self, x, ref, t, dt):
         x = as_vector(x, dim=self.dec.n)
         if self._prev is not None:
-            self.dec.advance(*self._prev, dt)
-        xhat_p, xhat_s = self.dec.estimates(x)
-        u_p = as_vector(self.primary.step(xhat_p, ref, t, dt), dim=self.dec.m)
-        if self.secondary is not None:
-            u_s = as_vector(self.secondary.u_s(x, xhat_s), dim=self.dec.m)
-        else:
-            u_s = np.zeros(self.dec.m)
+            self.xhat_s = self.dec.advance(self.xhat_s, *self._prev, dt)
+        xhat_s = self.xhat_s
+        u_p = as_vector(self.primary.step(x - xhat_s, ref, t, dt), dim=self.dec.m)
+        u_s = as_vector(self.secondary.u_s(x, xhat_s), dim=self.dec.m)
         u = u_p + u_s
         self._prev = (x.copy(), u.copy(), u_s.copy())
         self._channels = (u_p, u_s, xhat_s)
@@ -184,10 +170,9 @@ class CompositeLaw(ControlLaw):
         return self._channels
 
     def reset(self):
-        self.dec.reset()
+        self.xhat_s = np.zeros(self.dec.n)
         self.primary.reset()
-        if self.secondary is not None:
-            self.secondary.reset()
+        self.secondary.reset()
         self._prev = None
         self._channels = None
 
@@ -200,10 +185,10 @@ def replay_observer(dec: Decomposition, trace) -> float:
     deviation is pure arithmetic noise; anything larger indicates the
     trace does not record what the observer actually consumed.
     """
-    fresh = dec.fresh()
-    worst = float(np.max(np.abs(fresh.xhat_s - trace.xhat_s[0])))
+    xs = np.zeros(dec.n)
+    worst = float(np.max(np.abs(xs - trace.xhat_s[0])))
     for k in range(len(trace) - 1):
-        xs = fresh.advance(trace.x[k], trace.u_cmd[k], trace.u_s[k], trace.dt)
+        xs = dec.advance(xs, trace.x[k], trace.u_cmd[k], trace.u_s[k], trace.dt)
         dev = float(np.max(np.abs(xs - trace.xhat_s[k + 1])))
         worst = max(worst, dev)
     return worst
@@ -251,8 +236,8 @@ def _decomposition_deviation(dec: Decomposition, u_of_t, up_of_t, d, x0,
     return worst
 
 
-def decomposition_deviation(plant: PlantModel, dec: Decomposition, u_of_t, d, x0,
-                  t_end: float, dt: float, up_of_t=None) -> float:
+def decomposition_deviation(dec: Decomposition, u_of_t, d, x0,
+                            t_end: float, dt: float, up_of_t=None) -> float:
     """Max over time of |x - (xp + xs)|_inf for one input signal.
 
     ``u_of_t(t)`` is the scalar-vector input signal; ``up_of_t`` defaults

@@ -83,6 +83,8 @@ class PerformanceReport:
     ``iae``/``itae`` are None for divergent runs (table cells render as
     a dash); a bounded run that merely grazed a singularity still gets
     its indices, with the classification carrying the flag.
+    ``final_state_norm`` is None for a run that diverged before its
+    first sample (an empty trace).
     """
 
     classification: str
@@ -91,7 +93,7 @@ class PerformanceReport:
     iae: Optional[float]
     itae: Optional[float]
     saturation_interval: Optional[Tuple[float, float]]
-    final_state_norm: float
+    final_state_norm: Optional[float]
     near_singular_events: int = 0
 
     def as_dict(self) -> dict:
@@ -115,6 +117,7 @@ def report(trace: SimulationTrace) -> PerformanceReport:
         iae=run_iae,
         itae=run_itae,
         saturation_interval=saturation_interval(trace),
-        final_state_norm=float(np.max(np.abs(trace.x[-1]))),
+        final_state_norm=(float(np.max(np.abs(trace.x[-1])))
+                          if len(trace) else None),
         near_singular_events=trace.near_singular_events,
     )

@@ -328,26 +328,28 @@ class DelayLine:
 
     Holds delay/dt samples, and ``dt`` must divide a positive delay
     (ValueError otherwise, as for a horizon); until the line fills, the
-    output is ``fill_value``.  A zero delay is the identity.
+    output is ``fill_value``.  A zero delay is the identity.  Samples are
+    stored as given, so one line carries a scalar or a whole input
+    vector; the caller must not mutate a sample after pushing it.
     """
 
-    def __init__(self, delay: float, dt: float, fill_value: float = 0.0):
+    def __init__(self, delay: float, dt: float, fill_value=0.0):
         if delay < 0.0:
             raise ValueError("delay must be non-negative")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.delay = float(delay)
         self.dt = float(dt)
-        self.fill_value = float(fill_value)
+        self.fill_value = fill_value
         self.steps = step_count(0.0, delay, dt) if delay > 0.0 else 0
         self._buf: deque = deque([self.fill_value] * self.steps, maxlen=self.steps or 1)
 
-    def push(self, sample: float) -> float:
+    def push(self, sample):
         """Feed one sample in, pop the sample from delay/dt steps ago."""
         if self.steps == 0:
-            return float(sample)
+            return sample
         out = self._buf.popleft()
-        self._buf.append(float(sample))
+        self._buf.append(sample)
         return out
 
     def reset(self):

@@ -289,8 +289,8 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     n, m, p = plant.n, plant.m, plant.p
     x = as_vector(scenario.x0, dim=n, name="x0").copy()
     d_vec = scenario.disturbance(n)
-    delays = ([DelayLine(scenario.input_delay, dt) for _ in range(m)]
-              if scenario.input_delay > 0.0 else None)
+    delay = (DelayLine(scenario.input_delay, dt, np.zeros(m))
+             if scenario.input_delay > 0.0 else None)
 
     law.reset()
     singular_before = law.singular_count
@@ -308,7 +308,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     rec_yd = np.empty(N)
     rec_sat = np.zeros(N, dtype=bool)
 
-    stage_feedback = law.stage_feedback and delays is None
+    stage_feedback = law.stage_feedback and delay is None
 
     diverged = False
     divergence_time = None
@@ -325,8 +325,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
             diverged = True
             divergence_time = t
             break
-        u_delayed = (np.array([delays[j].push(u_cmd[j]) for j in range(m)])
-                     if delays is not None else u_cmd)
+        u_delayed = delay.push(u_cmd.copy()) if delay is not None else u_cmd
         if plant.saturation is not None:
             u_applied = plant.saturation(u_delayed)
             saturated = bool(np.any(u_applied != u_delayed))

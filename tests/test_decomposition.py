@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scl_lab.benchmarks import BACKSTEPPING, build_run, lqr_gain
-from scl_lab.controllers import BacksteppingSecondary, ZeroLaw
+from scl_lab.controllers import BacksteppingSecondary, LqrLaw, ZeroLaw
 from scl_lab.decomposition import (
     CompositeLaw,
     Decomposition,
@@ -44,7 +44,8 @@ class TestConstruction:
         dec = make_decomposition(plant)
         np.testing.assert_array_equal(dec.A1, [[0.0, 2.0], [-2.0, -3.0]])
         np.testing.assert_array_equal(dec.B1, [[0.0], [1.0]])
-        np.testing.assert_array_equal(dec.xhat_s, [0.0, 0.0])
+        law = CompositeLaw(dec, ZeroLaw(1))
+        np.testing.assert_array_equal(law.xhat_s, [0.0, 0.0])
 
     def test_bilinear_origin_jacobian_has_zero_input_matrix(self):
         plant, _ = build_example1()
@@ -78,24 +79,24 @@ class TestObserver:
         # A1 x + B1 u + A1(0 - x) + B1(0 - u) vanishes identically.
         dec = make_decomposition(linear_plant())
         rng = np.random.default_rng(3)
+        xhat_s = np.zeros(2)
         for _ in range(5):
             x = rng.standard_normal(2)
             u = rng.standard_normal(1)
-            dec.advance(x, u, np.zeros(1), 1e-3)
-            xhat_p, xhat_s = dec.estimates(x)
+            xhat_s = dec.advance(xhat_s, x, u, np.zeros(1), 1e-3)
             np.testing.assert_allclose(xhat_s, 0.0, atol=1e-15)
-            np.testing.assert_allclose(xhat_p, x, atol=1e-15)
+            np.testing.assert_allclose(x - xhat_s, x, atol=1e-15)
 
     def test_saturated_plant_inactive_region(self):
         # Commands inside the saturation band leave nothing to absorb.
         plant, _ = build_example2()
         dec = make_decomposition(plant)
         rng = np.random.default_rng(5)
+        xhat_s = np.zeros(3)
         for _ in range(5):
             x = rng.standard_normal(3)
             u = rng.uniform(-1.9, 1.9, size=1)
-            dec.advance(x, u, np.zeros(1), 1e-3)
-            _, xhat_s = dec.estimates(x)
+            xhat_s = dec.advance(xhat_s, x, u, np.zeros(1), 1e-3)
             np.testing.assert_allclose(xhat_s, 0.0, atol=1e-15)
 
     def test_replay_matches_recorded_estimates(self):
@@ -136,6 +137,24 @@ class TestCompositeLaw:
         assert law_u_p[0] == pytest.approx(u_p, abs=1e-12)
         assert law_u_s[0] == pytest.approx(u_s, abs=1e-12)
 
+    def test_laws_sharing_a_model_keep_their_own_estimates(self):
+        # One Decomposition backs two laws stepped interleaved on the
+        # same states; each integrates its own estimate, so both emit
+        # exactly what a law run alone emitted.
+        setup = build_run("ex3", "sclc", "i")
+        trace = simulate(setup.plant, setup.law, setup.scenario, dt=1e-3,
+                         t_end=1.0)
+        dec = setup.law.dec
+        K = lqr_gain(dec.A1, dec.B1)
+        laws = [CompositeLaw(dec, LqrLaw(K), BacksteppingSecondary(BACKSTEPPING))
+                for _ in range(2)]
+        for k in range(len(trace)):
+            for law in laws:
+                u = law.step(trace.x[k], trace.y_d[k], trace.t[k], trace.dt)
+                np.testing.assert_array_equal(u, trace.u_cmd[k])
+                np.testing.assert_array_equal(law.xhat_s, trace.xhat_s[k])
+        assert replay_observer(dec, trace) < 1e-9
+
     def test_bilinear_composite_is_pure_primary(self):
         setup = build_run("ex1", "sclc")
         trace = simulate(setup.plant, setup.law, setup.scenario, dt=1e-3,
@@ -147,28 +166,27 @@ class TestCompositeLaw:
 class TestDecompositionExactness:
     def test_linear_plant_superposition(self):
         dec = make_decomposition(linear_plant())
-        dev = decomposition_deviation(linear_plant(), dec, lambda t: [math.sin(t)],
+        dev = decomposition_deviation(dec, lambda t: [math.sin(t)],
                             d=[0.5, -0.25], x0=[1.0, -1.0], t_end=5.0, dt=1e-3)
         assert dev < 1e-9
 
     def test_two_state_example_with_disturbance(self):
         plant, _ = build_example3()
         dec = make_decomposition(plant)
-        dev = decomposition_deviation(plant, dec, lambda t: [math.sin(t)],
+        dev = decomposition_deviation(dec, lambda t: [math.sin(t)],
                             d=[1.0, 1.0], x0=[2.0, 2.0], t_end=10.0, dt=1e-3)
         assert dev < 1e-6
 
     def test_bilinear_example(self):
-        plant, _ = build_example1()
         dec = make_decomposition_ex1(20.0)
-        dev = decomposition_deviation(plant, dec, lambda t: [1.0], d=[3.0],
+        dev = decomposition_deviation(dec, lambda t: [1.0], d=[3.0],
                             x0=[-1.0], t_end=10.0, dt=1e-3)
         assert dev < 1e-6
 
     def test_split_input_between_channels(self):
         plant, _ = build_example3()
         dec = make_decomposition(plant)
-        dev = decomposition_deviation(plant, dec, lambda t: [math.sin(t)],
+        dev = decomposition_deviation(dec, lambda t: [math.sin(t)],
                             d=None, x0=[1.0, 0.5], t_end=5.0, dt=1e-3,
                             up_of_t=lambda t: [0.25 * math.sin(t)])
         assert dev < 1e-6
@@ -181,7 +199,7 @@ class TestDecompositionExactness:
         bad = Decomposition(np.array([[0.0, 1.0], [-2.0, -3.0]]), good.B1,
                             good.model_field, 2, 1,
                             remainder_field=good.remainder_field)
-        dev = decomposition_deviation(plant, bad, lambda t: [math.sin(t)],
+        dev = decomposition_deviation(bad, lambda t: [math.sin(t)],
                             d=None, x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
         assert dev > 1e-3
 
@@ -200,7 +218,7 @@ class TestDecompositionExactness:
 
         bad = Decomposition(good.A1, good.B1, good.model_field, 2, 1,
                             remainder_field=misread)
-        dev = decomposition_deviation(plant, bad, lambda t: [math.sin(t)],
+        dev = decomposition_deviation(bad, lambda t: [math.sin(t)],
                             d=None, x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
         assert dev > 1e-3
 

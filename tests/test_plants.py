@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from scl_lab.controllers import ControlLaw, ZeroLaw
+from scl_lab.metrics import report
 from scl_lab.numerics import eigenvalues, is_hurwitz
 from scl_lab.plants import (
     EX2_A,
@@ -167,6 +169,24 @@ class TestHarness:
         assert trace.divergence_time == 0.5
         assert np.all(np.isfinite(trace.u_cmd))
         assert np.all(np.isfinite(trace.u_applied))
+
+    def test_report_on_divergence_before_first_sample(self):
+        # A NaN first command leaves an empty trace; the report must
+        # still classify it, with no final state to measure.
+        plant, scs = build_example3()
+
+        class NanAlways(ControlLaw):
+            def step(self, x, ref, t, dt):
+                return np.array([math.nan])
+
+        trace = simulate(plant, NanAlways(), scs[0], dt=1e-3)
+        assert len(trace) == 0
+        assert trace.diverged and trace.divergence_time == 0.0
+        rep = report(trace)
+        assert rep.classification == "unstable"
+        assert rep.iae is None and rep.itae is None
+        assert rep.final_state_norm is None
+        assert json.loads(json.dumps(rep.as_dict()))["final_state_norm"] is None
 
     def test_dt_must_divide_horizon(self):
         plant, sc = build_example1()
