@@ -90,56 +90,38 @@ def lqr_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RunSetup:
-    example: str
-    method: str
     scenario: Scenario
     plant: PlantModel
     law: ControlLaw
 
 
-def _sclc_ex1() -> Tuple[PlantModel, Scenario, ControlLaw]:
-    plant, scenario = build_example1()
-    dec = make_decomposition_ex1(scenario.ref(0.0))
-    primary = PidTrackingLaw(PID_EX1, lambda xp: float(xp[0]), name="pid")
-    return plant, scenario, CompositeLaw(dec, primary, secondary=None, name="sclc")
-
-
-def _sclc_ex2() -> Tuple[PlantModel, Scenario, ControlLaw]:
-    plant, scenario = build_example2()
-    dec = make_decomposition(plant)
-    primary = PidTrackingLaw(PID_EX2, lambda xp: float(EX2_C @ xp), name="pid")
-    return plant, scenario, CompositeLaw(dec, primary, secondary=None, name="sclc")
-
-
-def _jlc_ex2() -> Tuple[PlantModel, Scenario, ControlLaw]:
-    plant, scenario = build_example2()
-    law = PidTrackingLaw(PID_EX2, lambda x: float(EX2_C @ x), name="jlc")
-    return plant, scenario, law
-
-
-def _ex3_law(method: str) -> ControlLaw:
-    plant, _scenarios = build_example3()
+def _law(example: str, method: str, plant: PlantModel,
+         scenario: Scenario) -> ControlLaw:
+    """The law of one valid benchmark cell, built on that cell's plant
+    and scenario: the one place a cell's controller is chosen."""
+    if example == "ex1":
+        dec = make_decomposition_ex1(scenario.ref(0.0))
+        return CompositeLaw(dec, PidTrackingLaw(PID_EX1, lambda xp: float(xp[0])))
+    if example == "ex2":
+        pid = PidTrackingLaw(PID_EX2, lambda x: float(EX2_C @ x))
+        return CompositeLaw(make_decomposition(plant), pid) if method == "sclc" else pid
     dec = make_decomposition(plant)
     if method == "sclc":
-        K = lqr_gain(dec.A1, dec.B1)
-        primary = LqrLaw(K, name="lqr")
-        secondary = BacksteppingSecondary(BACKSTEPPING)
-        return CompositeLaw(dec, primary, secondary, name="sclc")
+        return CompositeLaw(dec, LqrLaw(lqr_gain(dec.A1, dec.B1)),
+                            BacksteppingSecondary(BACKSTEPPING))
     if method == "jlc":
         # Shares the decomposition's (A1, B1) by construction.
-        return LqrLaw(lqr_gain(dec.A1, dec.B1), name="jlc", stage_feedback=True)
+        return LqrLaw(lqr_gain(dec.A1, dec.B1), stage_feedback=True)
     if method == "flc":
         return FlcEx3(lqr_gain(*FLC_DESIGN))
     if method == "rflc":
         return RflcEx3(lqr_gain(dec.A1, dec.B1))
-    if method == "adrc":
-        return AdrcLaw(ADRC_B, ADRC_OMEGA0, lqr_gain(*ADRC_DESIGN))
-    raise ConfigError(f"unknown method {method!r}")
+    return AdrcLaw(ADRC_B, ADRC_OMEGA0, lqr_gain(*ADRC_DESIGN))
 
 
 def build_run(example: str, method: str,
               scenario: Optional[str] = None) -> RunSetup:
-    """Resolve one benchmark cell into (plant, scenario, law).
+    """Resolve one benchmark cell into (scenario, plant, law).
 
     Rejects combinations the benchmark set rules out, with the reason.
     """
@@ -153,9 +135,9 @@ def build_run(example: str, method: str,
         raise ConfigError(f"{example} has a single scenario; drop --scenario")
 
     if example == "ex1":
-        plant, sc, law = _sclc_ex1()
+        plant, sc = build_example1()
     elif example == "ex2":
-        plant, sc, law = _sclc_ex2() if method == "sclc" else _jlc_ex2()
+        plant, sc = build_example2()
     else:
         label = scenario if scenario is not None else "i"
         if label not in SCENARIOS_EX3:
@@ -163,9 +145,7 @@ def build_run(example: str, method: str,
                 f"unknown scenario {label!r}; choose from {SCENARIOS_EX3}")
         plant, scenarios = build_example3()
         sc = scenarios[SCENARIOS_EX3.index(label)]
-        law = _ex3_law(method)
-    return RunSetup(example=example, method=method, scenario=sc,
-                    plant=plant, law=law)
+    return RunSetup(sc, plant, _law(example, method, plant, sc))
 
 
 def run(example: str, method: str, scenario: Optional[str] = None,
@@ -183,10 +163,6 @@ class Table1:
 
     cells: Dict[Tuple[str, str], PerformanceReport]
 
-    def value(self, scenario: str, method: str, index: str) -> Optional[float]:
-        rep = self.cells[(scenario, method)]
-        return rep.iae if index == "iae" else rep.itae
-
     def rows(self) -> List[List[str]]:
         """Rows shaped like the published comparison: scenario x
         {IAE, ITAE} with one column per method."""
@@ -195,7 +171,7 @@ class Table1:
             for index in ("iae", "itae"):
                 row = [f"({sc})", index.upper()]
                 for method in METHODS:
-                    v = self.value(sc, method, index)
+                    v = getattr(self.cells[(sc, method)], index)
                     row.append("-" if v is None else f"{v:.3f}")
                 out.append(row)
         return out

@@ -184,7 +184,7 @@ def cmd_run(args) -> int:
     scenario = setup.scenario.label if config.example == "ex3" else None
     meta = {"example": config.example, "method": config.method,
             "scenario": scenario,
-            "dt": config.dt, "t_end": float(trace.t[-1]),
+            "dt": config.dt, "t_end": float(trace.t[-1]) if len(trace) else None,
             "samples": len(trace)}
     (out_dir / "report.json").write_text(
         json.dumps({**meta, **rep.as_dict()}, indent=2, sort_keys=True) + "\n")

@@ -119,10 +119,11 @@ class PidTrackingLaw(ControlLaw):
     estimate when used inside a composite law).
     """
 
-    def __init__(self, gains: PidGains, output_map, name="pid"):
+    name = "pid"
+
+    def __init__(self, gains: PidGains, output_map):
         self.pid = Pid(gains)
         self.output_map = output_map
-        self.name = name
 
     def step(self, x, ref, t, dt):
         e = float(ref) - float(self.output_map(x))
@@ -135,9 +136,10 @@ class PidTrackingLaw(ControlLaw):
 class LqrLaw(ControlLaw):
     """Static full-state feedback u = -K x, optionally stage-fed."""
 
-    def __init__(self, K, name="lqr", stage_feedback=False):
+    name = "lqr"
+
+    def __init__(self, K, stage_feedback=False):
         self.K = as_matrix(K, name="K")
-        self.name = name
         self.stage_feedback = stage_feedback
 
     def control(self, x):
@@ -213,9 +215,8 @@ class _SingularGuardLaw(ControlLaw):
 
     stage_feedback = True
 
-    def __init__(self, K, name):
+    def __init__(self, K):
         self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
-        self.name = name
         self.singular_count = 0
         self.near_singular_count = 0
 
@@ -255,8 +256,7 @@ class _SingularGuardLaw(ControlLaw):
 class FlcEx3(_SingularGuardLaw):
     """Exact linearization to a double integrator in z = (x1, x2 + sin x2)."""
 
-    def __init__(self, K, name="flc"):
-        super().__init__(K, name)
+    name = "flc"
 
     def _u(self, x, den):
         x1, x2 = float(x[0]), float(x[1])
@@ -270,8 +270,7 @@ class FlcEx3(_SingularGuardLaw):
 class RflcEx3(_SingularGuardLaw):
     """Robust variant: transforms onto the origin-Jacobian target system."""
 
-    def __init__(self, K, name="rflc"):
-        super().__init__(K, name)
+    name = "rflc"
 
     def _u(self, x, den):
         x1, x2 = float(x[0]), float(x[1])
@@ -306,7 +305,9 @@ class AdrcLaw(ControlLaw):
     authority from the first sample.
     """
 
-    def __init__(self, b: float, omega0: float, K, name="adrc"):
+    name = "adrc"
+
+    def __init__(self, b: float, omega0: float, K):
         if b == 0.0:
             raise ValueError("input-gain estimate b must be nonzero")
         if omega0 <= 0.0:
@@ -314,7 +315,6 @@ class AdrcLaw(ControlLaw):
         self.b = float(b)
         self.omega0 = float(omega0)
         self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
-        self.name = name
         self.xhat = np.zeros(3)
         self._prev: Optional[tuple] = None
 

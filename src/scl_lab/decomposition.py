@@ -146,12 +146,12 @@ class CompositeLaw(ControlLaw):
     time.
     """
 
-    def __init__(self, dec: Decomposition, primary: ControlLaw,
-                 secondary=None, name="sclc"):
+    name = "sclc"
+
+    def __init__(self, dec: Decomposition, primary: ControlLaw, secondary=None):
         self.dec = dec
         self.primary = primary
         self.secondary = ZeroLaw(dec.m) if secondary is None else secondary
-        self.name = name
         self.reset()
 
     def step(self, x, ref, t, dt):
@@ -291,17 +291,18 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
     _, sc1 = build_example1()
     plant2, sc2 = build_example2()
     plant3, scs3 = build_example3()
+    # ex3 runs scenario (iii), the one with a disturbance.
     runs = [
-        ("ex1", make_decomposition_ex1(sc1.ref(0.0)), sc1, sc1.disturbance(1)),
-        ("ex2", make_decomposition(plant2), sc2, sc2.disturbance(3)),
-        ("ex3", make_decomposition(plant3), scs3[0], np.array([1.0, 1.0])),
+        ("ex1", make_decomposition_ex1(sc1.ref(0.0)), sc1),
+        ("ex2", make_decomposition(plant2), sc2),
+        ("ex3", make_decomposition(plant3), scs3[2]),
     ]
     cases: List[ExactnessCase] = []
-    for example, dec, sc, d in runs:
+    for example, dec, sc in runs:
         u_fn = _random_input_batch(rng, n_inputs, dec.m)
         split = rng.uniform(0.0, 1.0, size=(n_inputs, 1))
         up_fn = (lambda t, u=u_fn, s=split: s * u(t))
-        dev = _decomposition_deviation(dec, u_fn, up_fn, d,
+        dev = _decomposition_deviation(dec, u_fn, up_fn, sc.disturbance(dec.n),
                                        np.tile(sc.x0, (n_inputs, 1)), sc.t_end, dt)
         cases.extend(ExactnessCase(example, i, float(dev[i])) for i in range(n_inputs))
     return cases

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 Series = Tuple[str, Sequence[float], Sequence[float]]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -69,12 +71,14 @@ def _render_panel(panel: Panel, width: int, height: int, y0: int) -> str:
     ml, mr, mt, mb = 62, 150, 28, 42
     pw = width - ml - mr
     ph = height - mt - mb
-    xs = [v for _, x, _ in panel.series for v in x]
-    ys = [v for _, _, y in panel.series for v in y if math.isfinite(v)]
-    if not xs or not ys:
+    series = [(label, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+              for label, x, y in panel.series]
+    xs = np.concatenate([np.empty(0)] + [x for _, x, _ in series])
+    ys = np.concatenate([np.empty(0)] + [y[np.isfinite(y)] for _, _, y in series])
+    if not xs.size or not ys.size:
         return f'<text class="t" x="{ml}" y="{y0 + 20}">{panel.title} (no data)</text>'
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = np.min(xs), np.max(xs)
+    y_lo, y_hi = np.min(ys), np.max(ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -106,10 +110,11 @@ def _render_panel(panel: Panel, width: int, height: int, y0: int) -> str:
                f'text-anchor="middle">{panel.xlabel}</text>')
     out.append(f'<text x="16" y="{y0 + mt + ph / 2:.1f}" text-anchor="middle" '
                f'transform="rotate(-90 16 {y0 + mt + ph / 2:.1f})">{panel.ylabel}</text>')
-    for idx, (label, x, y) in enumerate(panel.series):
+    for idx, (label, x, y) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y)
-                       if math.isfinite(b))
+        keep = np.isfinite(y)
+        pts = " ".join(map("{:.2f},{:.2f}".format,
+                           px(x[keep]).tolist(), py(y[keep]).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.3"/>')
         ly = y0 + mt + 14 + 15 * idx

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scl_lab import cli
+from scl_lab.benchmarks import build_run
 from scl_lab.cli import main, write_trace_csv
+from scl_lab.controllers import ControlLaw
 from scl_lab.plants import SimulationTrace
 
 
@@ -56,6 +61,25 @@ class TestRunCommand:
         assert report["iae"] is None
         for row in read_rows(out / "trace.csv")[1:]:
             assert all(cell not in ("nan", "inf", "-inf") for cell in row)
+
+    def test_divergence_before_first_sample_reports_null_t_end(
+            self, tmp_path, monkeypatch):
+        class NanAlways(ControlLaw):
+            def step(self, x, ref, t, dt):
+                return np.array([math.nan])
+
+        def nan_cell(example, method, scenario):
+            return replace(build_run(example, method, scenario), law=NanAlways())
+
+        monkeypatch.setattr(cli, "build_run", nan_cell)
+        out = tmp_path / "nan"
+        assert main(["run", "--example", "ex3", "--method", "jlc",
+                     "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["t_end"] is None and report["samples"] == 0
+        assert report["classification"] == "unstable"
+        assert len(read_rows(out / "trace.csv")) == 1
+        assert "(no data)" in (out / "plot.svg").read_text()
 
     def test_default_scenario_is_recorded(self, tmp_path, capsys):
         out = tmp_path / "default"
