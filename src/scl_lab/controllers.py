@@ -208,7 +208,9 @@ class _SingularGuardLaw(ControlLaw):
     ``control_clamped`` (used by the simulation loop and by stage
     evaluation) instead floors the denominator at the guard and counts
     the event, keeping the emitted input finite so a run can record the
-    (usually divergence-bound) aftermath.  These laws default to stage
+    (usually divergence-bound) aftermath.  ``control`` checks its
+    argument; ``control_clamped`` takes the (2,) float state the harness
+    or its RK4 stages built, unchecked.  These laws default to stage
     feedback: the continuous closed loop is what resolves a singular
     crossing without step-size artifacts.
     """
@@ -242,7 +244,6 @@ class _SingularGuardLaw(ControlLaw):
         return self._u(x, den)
 
     def control_clamped(self, x) -> np.ndarray:
-        x = as_vector(x, dim=2)
         den = self._den(x)
         if abs(den) < SINGULAR_GUARD:
             self.singular_count += 1

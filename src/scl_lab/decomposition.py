@@ -143,7 +143,9 @@ class CompositeLaw(ControlLaw):
     exactly u_p + u_s.  The estimate is advanced at the start of each
     step using the previous step's (x, u, u_s) held constant, keeping
     the loop causal; the laws then act on estimates current at the step
-    time.
+    time.  ``step`` takes the (n,) float state the harness passes, and
+    both channel laws return (m,) float arrays; the harness checks the
+    emitted sum.
     """
 
     name = "sclc"
@@ -155,12 +157,11 @@ class CompositeLaw(ControlLaw):
         self.reset()
 
     def step(self, x, ref, t, dt):
-        x = as_vector(x, dim=self.dec.n)
         if self._prev is not None:
             self.xhat_s = self.dec.advance(self.xhat_s, *self._prev, dt)
         xhat_s = self.xhat_s
-        u_p = as_vector(self.primary.step(x - xhat_s, ref, t, dt), dim=self.dec.m)
-        u_s = as_vector(self.secondary.u_s(x, xhat_s), dim=self.dec.m)
+        u_p = self.primary.step(x - xhat_s, ref, t, dt)
+        u_s = self.secondary.u_s(x, xhat_s)
         u = u_p + u_s
         self._prev = (x.copy(), u.copy(), u_s.copy())
         self._channels = (u_p, u_s, xhat_s)

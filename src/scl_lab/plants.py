@@ -1,9 +1,14 @@
 """Benchmark plants, scenarios, input blocks, and the closed-loop harness.
 
-Plant fields are written with numpy ufuncs and ellipsis indexing so the
-same callable evaluates a single state ``(n,)`` or a batch ``(B, n)``;
-the batched form is what makes the decomposition checks cheap to run
-over many randomized inputs.
+Plant fields are written with numpy ufuncs so the same callable
+evaluates a single state ``(n,)`` or a batch ``(B, n)``; the batched form
+is what makes the decomposition checks cheap to run over many randomized
+inputs.  The ex3 fields unpack components with ``x1, x2 = x.T``: on one
+state that yields float64 scalars, which skip the per-call array
+dispatch that dominates a single-lane step, and on a batch it yields the
+``(B,)`` columns.  They write into ``out.T[k]`` of an ``np.empty``
+output, with the operation order of the scalar formulas, so both forms
+give the same bits per lane.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ class Saturation:
 @dataclass(frozen=True)
 class PlantModel:
     """Nonlinear plant x' = field(t, x, u_eff, d), y = output(x).
+
+    ``field`` and ``output`` take one state ``(n,)`` or a batch
+    ``(B, n)``; the harness calls ``output`` once on every recorded
+    state, which must give ``(B, p)``.
 
     ``field`` receives the effective input, i.e. after any saturation
     block; the simulation harness applies ``saturation`` (and any
@@ -173,11 +182,12 @@ def _ex2_remainder(t, x, xs, u, u_s):
 
 
 def _ex3_field(t, x, u, d):
-    x1 = x[..., 0]
-    x2 = x[..., 1]
-    dx1 = x2 + np.sin(x2)
-    dx2 = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + u[..., 0]
-    return np.stack((dx1, dx2), axis=-1) + d
+    x1, x2 = x.T
+    out = np.empty(x.shape)
+    out.T[0] = x2 + np.sin(x2)
+    out.T[1] = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + u.T[0]
+    out += d
+    return out
 
 
 def _ex3_output(x):
@@ -188,12 +198,12 @@ def _ex3_remainder(t, x, xs, u, u_s):
     # The sin and quadratic terms read the measured x2; only this
     # reading matches the generic remainder f - A1 xp - B1 up term by
     # term (the exactness harness certifies it).
-    x2 = x[..., 1]
-    s1 = xs[..., 0]
-    s2 = xs[..., 1]
-    d1 = 2.0 * s2 - x2 + np.sin(x2)
-    d2 = -2.0 * s1 - 3.0 * s2 + 2.0 * x2 * x2 + u_s[..., 0]
-    return np.stack((d1, d2), axis=-1)
+    x2 = x.T[1]
+    s1, s2 = xs.T
+    out = np.empty(xs.shape)
+    out.T[0] = 2.0 * s2 - x2 + np.sin(x2)
+    out.T[1] = -2.0 * s1 - 3.0 * s2 + 2.0 * x2 * x2 + u_s.T[0]
+    return out
 
 
 def _ex2_reference(t: float) -> float:
@@ -286,7 +296,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     """
     n_steps = step_count(0.0, t_end if t_end is not None else scenario.t_end, dt)
 
-    n, m, p = plant.n, plant.m, plant.p
+    n, m = plant.n, plant.m
     x = as_vector(scenario.x0, dim=n, name="x0").copy()
     d_vec = scenario.disturbance(n)
     delay = (DelayLine(scenario.input_delay, dt, np.zeros(m))
@@ -304,7 +314,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     rec_up = np.empty((N, m))
     rec_us = np.empty((N, m))
     rec_xhs = np.empty((N, n))
-    rec_y = np.empty((N, p))
     rec_yd = np.empty(N)
     rec_sat = np.zeros(N, dtype=bool)
 
@@ -338,7 +347,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         rec_ucmd[k] = u_cmd
         rec_uapp[k] = u_applied
         rec_up[k], rec_us[k], rec_xhs[k] = law.channels(u_cmd)
-        rec_y[k] = plant.output(x)
         rec_yd[k] = ref
         rec_sat[k] = saturated
         rows = k + 1
@@ -352,17 +360,23 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
             diverged = True
             divergence_time = t + dt
             break
-        if np.max(np.abs(x_next)) > DIVERGENCE_LIMIT:
+        if np.abs(x_next).max() > DIVERGENCE_LIMIT:
             diverged = True
             divergence_time = t + dt
             break
         x = x_next
 
+    # The output feeds nothing back, so it is one batched call on the
+    # recorded states.
+    y = plant.output(rec_x[:rows])
+    if np.shape(y) != (rows, plant.p):
+        raise ValueError(
+            f"output of {plant.name!r} must map (B, n) states to (B, {plant.p})")
     return SimulationTrace(
         t=rec_t[:rows], x=rec_x[:rows], u_cmd=rec_ucmd[:rows],
         u_applied=rec_uapp[:rows], u_p=rec_up[:rows], u_s=rec_us[:rows],
         xhat_p=rec_x[:rows] - rec_xhs[:rows], xhat_s=rec_xhs[:rows],
-        y=rec_y[:rows], y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
+        y=y, y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
         diverged=diverged, divergence_time=divergence_time,
         singular_events=law.singular_count - singular_before,
         near_singular_events=law.near_singular_count - near_before,

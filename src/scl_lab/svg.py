@@ -7,6 +7,7 @@ output for identical inputs.
 from __future__ import annotations
 
 import math
+import sys
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -16,11 +17,23 @@ Series = Tuple[str, Sequence[float], Sequence[float]]
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _widen(lo: float, hi: float) -> Tuple[float, float]:
+    """``(lo, hi)``, or about one unit of scale either side of ``lo`` when
+    the span is empty or a few ulps of the values: there ``v += step``
+    in ``_ticks`` would stop moving ``v``, and a zero span divides by 0."""
+    if hi - lo > 2.0 ** -40 * max(1.0, abs(lo), abs(hi)):
+        return lo, hi
+    pad = max(1.0, 2.0 ** -30 * abs(lo))
+    return lo - pad, lo + pad
+
+
 def _ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    span = _widen(lo, hi)
+    if not math.isfinite(span[1] - span[0]):
+        return [lo]  # the span overflows
+    lo, hi = span
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -30,7 +43,8 @@ def _ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     first = math.ceil(lo / step) * step
     out = []
     v = first
-    while v <= hi + 1e-12 * step:
+    stop = min(hi + 1e-12 * step, sys.float_info.max)  # v += step may overflow
+    while v <= stop and len(out) <= 2 * target:
         out.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return out or [lo]
@@ -77,10 +91,8 @@ def _render_panel(panel: Panel, width: int, height: int, y0: int) -> str:
     ys = np.concatenate([np.empty(0)] + [y[np.isfinite(y)] for _, _, y in series])
     if not xs.size or not ys.size:
         return f'<text class="t" x="{ml}" y="{y0 + 20}">{panel.title} (no data)</text>'
-    x_lo, x_hi = np.min(xs), np.max(xs)
-    y_lo, y_hi = np.min(ys), np.max(ys)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _widen(np.min(xs), np.max(xs))
+    y_lo, y_hi = _widen(np.min(ys), np.max(ys))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -1,0 +1,99 @@
+"""The ex3 fields and the harness's batched output keep their bits.
+
+``_ex3_field`` and ``_ex3_remainder`` unpack components with ``x.T`` and
+write into a preallocated output.  The references below are the
+``np.stack`` forms they replaced; the new forms must equal them bit for
+bit, on one state and on a batch, and lane k of a batch must equal the
+single call on lane k.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from scl_lab.benchmarks import build_run
+from scl_lab.plants import _ex3_field, _ex3_remainder, simulate
+
+
+def reference_ex3_field(t, x, u, d):
+    x1 = x[..., 0]
+    x2 = x[..., 1]
+    dx1 = x2 + np.sin(x2)
+    dx2 = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + u[..., 0]
+    return np.stack((dx1, dx2), axis=-1) + d
+
+
+def reference_ex3_remainder(t, x, xs, u, u_s):
+    x2 = x[..., 1]
+    s1 = xs[..., 0]
+    s2 = xs[..., 1]
+    d1 = 2.0 * s2 - x2 + np.sin(x2)
+    d2 = -2.0 * s1 - 3.0 * s2 + 2.0 * x2 * x2 + u_s[..., 0]
+    return np.stack((d1, d2), axis=-1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+values = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def vectors(*shape):
+    return arrays(np.float64, shape, elements=values)
+
+
+@st.composite
+def batches(draw, cols):
+    size = draw(st.integers(1, 20))
+    return draw(vectors(size, cols))
+
+
+disturbances = st.one_of(st.just(0.0), vectors(2))
+
+
+class TestEx3Field:
+    @settings(max_examples=200, deadline=None)
+    @given(x=vectors(2), u=vectors(1), d=disturbances)
+    def test_single_state_matches_stack_form(self, x, u, d):
+        assert same_bits(_ex3_field(0.0, x, u, d), reference_ex3_field(0.0, x, u, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=disturbances)
+    def test_batch_matches_stack_form_and_each_lane(self, data, d):
+        x = data.draw(batches(2))
+        u = data.draw(vectors(x.shape[0], 1))
+        out = _ex3_field(0.0, x, u, d)
+        assert same_bits(out, reference_ex3_field(0.0, x, u, d))
+        for k in range(x.shape[0]):
+            assert same_bits(out[k], _ex3_field(0.0, x[k], u[k], d))
+
+
+class TestEx3Remainder:
+    @settings(max_examples=200, deadline=None)
+    @given(x=vectors(2), xs=vectors(2), u=vectors(1), u_s=vectors(1))
+    def test_single_state_matches_stack_form(self, x, xs, u, u_s):
+        assert same_bits(_ex3_remainder(0.0, x, xs, u, u_s),
+                         reference_ex3_remainder(0.0, x, xs, u, u_s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_stack_form_and_each_lane(self, data):
+        x = data.draw(batches(2))
+        xs, u, u_s = (data.draw(vectors(x.shape[0], cols)) for cols in (2, 1, 1))
+        out = _ex3_remainder(0.0, x, xs, u, u_s)
+        assert same_bits(out, reference_ex3_remainder(0.0, x, xs, u, u_s))
+        for k in range(x.shape[0]):
+            assert same_bits(out[k], _ex3_remainder(0.0, x[k], xs[k], u[k], u_s[k]))
+
+
+def test_batched_output_matches_per_row_output_on_ex2():
+    # ex2's output is a matmul, the one shipped output where a batched
+    # call could round differently from a per-row call.
+    setup = build_run("ex2", "sclc")
+    trace = simulate(setup.plant, setup.law, setup.scenario)
+    per_row = np.array([setup.plant.output(row) for row in trace.x])
+    assert len(trace) == 25001
+    assert same_bits(trace.y, per_row)

@@ -12,6 +12,7 @@ from scl_lab.plants import (
     EX2_A,
     EX2_B,
     EX2_C,
+    PlantModel,
     Saturation,
     Scenario,
     build_example1,
@@ -187,6 +188,14 @@ class TestHarness:
         assert rep.iae is None and rep.itae is None
         assert rep.final_state_norm is None
         assert json.loads(json.dumps(rep.as_dict()))["final_state_norm"] is None
+
+    def test_output_must_take_a_batch(self):
+        plant, _ = build_example1()
+        per_state = PlantModel(name="per-state", n=1, m=1, p=1, field=plant.field,
+                               output=lambda x: x[0])
+        rest = Scenario(label="rest", x0=np.zeros(1), t_end=0.01)
+        with pytest.raises(ValueError, match="must map"):
+            simulate(per_state, ZeroLaw(), rest, dt=1e-3)
 
     def test_dt_must_divide_horizon(self):
         plant, sc = build_example1()

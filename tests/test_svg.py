@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +24,8 @@ def reference_render_panel(panel, width, height, y0):
         return f'<text class="t" x="{ml}" y="{y0 + 20}">{panel.title} (no data)</text>'
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -104,3 +110,53 @@ class TestRenderPanel:
         panel = Panel("p", "t", "y", [("s", t, np.full(3, math.nan))])
         assert "(no data)" in svg._render_panel(panel, 840, 300, 0)
         assert "(no data)" in svg._render_panel(Panel("q", "t", "y", []), 840, 300, 0)
+
+
+def no_nan_or_inf(doc):
+    return "nan" not in doc.lower() and "inf" not in doc.lower()
+
+
+class TestDegenerateSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(allow_nan=False, allow_infinity=False),
+           b=st.floats(allow_nan=False, allow_infinity=False))
+    def test_ticks_terminate_with_bounded_count(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        ticks = _ticks(lo, hi)
+        assert 1 <= len(ticks) <= 13
+        assert all(math.isfinite(v) for v in ticks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(v=st.floats(-1e9, 1e9), ulps=st.integers(0, 8))
+    def test_ticks_of_a_few_ulps_span_the_value(self, v, ulps):
+        hi = v
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+        ticks = _ticks(v, hi)
+        assert 3 <= len(ticks) <= 13
+        assert min(ticks) <= v <= max(ticks)
+
+    def test_near_constant_axis_returns(self):
+        # A span of a few ulps once spun ``v += step`` forever; a child
+        # process turns a hang into a failure.
+        code = ("import numpy as np\n"
+                "from scl_lab import svg\n"
+                "assert svg._ticks(1e6, 1e6 + 2 ** -32)\n"
+                "y = np.array([1e6, np.nextafter(1e6, 2e6)])\n"
+                "print(svg.render([svg.Panel('p', 't', 'x', "
+                "[('x1', np.array([0.0, 1.0]), y)])]))\n")
+        src = os.path.dirname(os.path.dirname(svg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("rendering a near-constant axis did not return in 60 s")
+        assert done.returncode == 0, done.stderr
+        assert "<polyline" in done.stdout and no_nan_or_inf(done.stdout)
+
+    def test_one_sample_renders_finite(self):
+        one = [("x1", np.array([0.0]), np.array([2.0]))]
+        doc = svg.render([Panel("p", "t", "x", one)])
+        assert 'points="376.00,143.00"' in doc
+        assert no_nan_or_inf(doc)
