@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, rk4_step
+from .numerics import NonFiniteState, as_matrix, as_vector, rk4_affine
 
 # Feedback-linearizing input transforms are declared singular when the
 # denominator magnitude drops below this.
@@ -146,7 +146,7 @@ class LqrLaw(ControlLaw):
         return -self.K @ x
 
     def step(self, x, ref, t, dt):
-        return self.control(as_vector(x))
+        return self.control(x)
 
 
 class ZeroLaw(ControlLaw):
@@ -296,14 +296,16 @@ def leso_error_matrix(omega0: float) -> np.ndarray:
 class AdrcLaw(ControlLaw):
     """Disturbance-rejection law: LESO plus u = -x3_hat/b + u0.
 
-    The observer gains are pinned at (3 w0, 3 w0^2, w0^3).  The LESO is
-    advanced one RK4 step per control step, holding the previous
-    sample's (y, u) constant, so the loop stays causal; its output
-    channel is initialized at the first measurement to skip the
-    artificial output-estimation transient.  The nominal feedback u0
-    acts on the measured states (the lumped-disturbance channel x3_hat
-    is what the observer contributes), so the law engages at full
-    authority from the first sample.
+    The observer gains are pinned at (3 w0, 3 w0^2, w0^3), so the LESO
+    rate is ``leso_error_matrix(w0) @ xhat + c`` with
+    ``c = (3 w0 y, 3 w0^2 y + b u, w0^3 y)``.  The LESO is advanced one
+    RK4 step per control step, in the closed form ``rk4_affine``, with
+    the previous sample's (y, u), and so ``c``, held constant; the loop
+    stays causal.  Its output channel is initialized at the first
+    measurement to skip the artificial output-estimation transient.
+    The nominal feedback u0 acts on the measured states (the
+    lumped-disturbance channel x3_hat is what the observer contributes),
+    so the law engages at full authority from the first sample.
     """
 
     name = "adrc"
@@ -316,17 +318,10 @@ class AdrcLaw(ControlLaw):
         self.b = float(b)
         self.omega0 = float(omega0)
         self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
+        # dt -> rk4_affine of the error matrix: derived constants.
+        self._rk4_maps: dict = {}
         self.xhat = np.zeros(3)
         self._prev: Optional[tuple] = None
-
-    def _leso_rate(self, xh, y, u):
-        w0 = self.omega0
-        e1 = xh[0] - y
-        return np.array([
-            xh[1] - 3.0 * w0 * e1,
-            xh[2] - 3.0 * w0 ** 2 * e1 + self.b * u,
-            -w0 ** 3 * e1,
-        ])
 
     def step(self, x, ref, t, dt):
         y = float(x[0])
@@ -334,9 +329,17 @@ class AdrcLaw(ControlLaw):
             self.xhat[0] = y
         else:
             y_prev, u_prev = self._prev
-            self.xhat = rk4_step(
-                lambda _t, xh: self._leso_rate(xh, y_prev, u_prev),
-                t - dt, self.xhat, dt)
+            if dt not in self._rk4_maps:
+                self._rk4_maps[dt] = rk4_affine(leso_error_matrix(self.omega0), dt)
+            T, S = self._rk4_maps[dt]
+            w0 = self.omega0
+            c = np.array([3.0 * w0 * y_prev,
+                          3.0 * w0 ** 2 * y_prev + self.b * u_prev,
+                          w0 ** 3 * y_prev])
+            xhat = T @ self.xhat + S @ c
+            if not np.isfinite(xhat).all():
+                raise NonFiniteState(t - dt, "RK4 update")
+            self.xhat = xhat
         u0 = -(self.K[0] * float(x[0]) + self.K[1] * float(x[1]))
         u = -self.xhat[2] / self.b + u0
         self._prev = (y, u)

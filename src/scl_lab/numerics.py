@@ -99,6 +99,26 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def rk4_affine(A, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(T, S)`` such that ``T @ x + S @ b`` is exactly one ``rk4_step``
+    of the linear field ``x' = A x + b`` with ``b`` held constant:
+
+        T = sum_{k<=4} (dt A)^k / k!,   S = dt * sum_{k<=3} (dt A)^k / (k+1)!.
+
+    Exact in real arithmetic; in floating point the two forms round
+    differently, by a few ulps of the state per step.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    M = dt * as_matrix(A, name="A")
+    eye = np.eye(M.shape[0])
+    M2 = M @ M
+    M3 = M2 @ M
+    T = eye + M + M2 / 2.0 + M3 / 6.0 + M3 @ M / 24.0
+    S = dt * (eye + M / 2.0 + M2 / 6.0 + M3 / 24.0)
+    return T, S
+
+
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """Number of RK4 steps covering [t0, t_end]; dt must divide the span."""
     if not t0 < t_end < math.inf:

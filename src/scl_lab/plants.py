@@ -42,7 +42,10 @@ class Saturation:
             raise ValueError("saturation bounds must satisfy lo < hi")
 
     def __call__(self, u):
-        return np.clip(u, self.lo, self.hi)
+        # np.clip's result at half its call overhead; NaN propagates, as
+        # there.  Bit for bit as long as neither bound is +-0: which zero
+        # a +-0 tie returns is not documented by numpy.
+        return np.minimum(self.hi, np.maximum(self.lo, u))
 
 
 @dataclass(frozen=True)

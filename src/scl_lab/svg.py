@@ -50,8 +50,15 @@ def _ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     return out or [lo]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _labels(ticks: List[float]) -> List[str]:
+    """``%.6g`` tick labels, with more digits only where six would give
+    two ticks one label (a near-constant axis); 17 tell any two doubles
+    apart."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 class Panel:
@@ -106,18 +113,20 @@ def _render_panel(panel: Panel, width: int, height: int, y0: int) -> str:
     out = [f'<text class="t" x="{ml}" y="{y0 + 18}">{panel.title}</text>',
            f'<rect x="{ml}" y="{y0 + mt}" width="{pw}" height="{ph}" '
            'fill="none" stroke="#333"/>']
-    for tv in _ticks(x_lo, x_hi):
+    x_ticks = _ticks(x_lo, x_hi)
+    for tv, label in zip(x_ticks, _labels(x_ticks)):
         x = px(tv)
         out.append(f'<line x1="{x:.1f}" y1="{y0 + mt + ph}" x2="{x:.1f}" '
                    f'y2="{y0 + mt + ph + 4}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{y0 + mt + ph + 16}" '
-                   f'text-anchor="middle">{_fmt(tv)}</text>')
-    for tv in _ticks(y_lo, y_hi):
+                   f'text-anchor="middle">{label}</text>')
+    y_ticks = _ticks(y_lo, y_hi)
+    for tv, label in zip(y_ticks, _labels(y_ticks)):
         y = py(tv)
         out.append(f'<line x1="{ml - 4}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" '
                    'stroke="#333"/>')
         out.append(f'<text x="{ml - 7}" y="{y + 3.5:.1f}" '
-                   f'text-anchor="end">{_fmt(tv)}</text>')
+                   f'text-anchor="end">{label}</text>')
     out.append(f'<text x="{ml + pw / 2:.1f}" y="{y0 + height - 8}" '
                f'text-anchor="middle">{panel.xlabel}</text>')
     out.append(f'<text x="16" y="{y0 + mt + ph / 2:.1f}" text-anchor="middle" '

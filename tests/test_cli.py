@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 from scl_lab import cli
 from scl_lab.benchmarks import build_run
 from scl_lab.cli import main, write_trace_csv
-from scl_lab.controllers import ControlLaw
-from scl_lab.plants import SimulationTrace
+from scl_lab.controllers import ControlLaw, ZeroLaw
+from scl_lab.plants import PlantModel, SimulationTrace
 
 
 def read_rows(path):
@@ -80,6 +81,32 @@ class TestRunCommand:
         assert report["classification"] == "unstable"
         assert len(read_rows(out / "trace.csv")) == 1
         assert "(no data)" in (out / "plot.svg").read_text()
+
+    def test_near_constant_run_plots_distinct_finite_labels(
+            self, tmp_path, monkeypatch):
+        # x drifts by about 1e-6 from 5e5: at six digits every state
+        # axis tick would read "500000".
+        drift = PlantModel(name="drift", n=1, m=1, p=1,
+                           field=lambda t, x, u, d: 0.0 * x + 1e-6,
+                           output=lambda x: x[..., 0:1])
+
+        def drift_cell(example, method, scenario):
+            setup = build_run(example, method, scenario)
+            return replace(setup, plant=drift, law=ZeroLaw(1),
+                           scenario=replace(setup.scenario, x0=np.array([5e5]),
+                                            reference=None))
+
+        monkeypatch.setattr(cli, "build_run", drift_cell)
+        out = tmp_path / "drift"
+        assert main(["run", "--example", "ex1", "--method", "sclc",
+                     "--t-end", "1", "--out", str(out)]) == 0
+        doc = (out / "plot.svg").read_text()
+        state_panel = doc.split('<text class="t"')[1]
+        labels = re.findall(r'text-anchor="end">([^<]*)</text>', state_panel)
+        values = [float(v) for v in labels]
+        assert len(set(labels)) == len(labels) >= 3
+        assert all(map(math.isfinite, values))
+        assert len({f"{v:.6g}" for v in values}) < len(values)
 
     def test_default_scenario_is_recorded(self, tmp_path, capsys):
         out = tmp_path / "default"

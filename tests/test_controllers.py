@@ -24,7 +24,7 @@ from scl_lab.controllers import (
     SingularInput,
     leso_error_matrix,
 )
-from scl_lab.numerics import CareProblem, eigenvalues, solve_care
+from scl_lab.numerics import CareProblem, NonFiniteState, eigenvalues, solve_care
 
 
 class TestPid:
@@ -206,6 +206,16 @@ class TestLeso:
         law._prev = None  # isolate the formula from the observer advance
         u = law.step(x, 0.0, 1e-3, 1e-3)
         assert u[0] == pytest.approx(-4.0 / 2.0 + 1.0, abs=1e-12)
+
+    def test_non_finite_measurement_raises_at_the_next_observer_step(self):
+        # A NaN in x makes that step's command NaN; the LESO consumes
+        # the (y, u) pair one step later and refuses it there.
+        law = AdrcLaw(ADRC_B, ADRC_OMEGA0, lqr_gain(*ADRC_DESIGN))
+        law.step(np.array([1.0, 0.0]), 0.0, 0.0, 1e-3)
+        assert math.isnan(law.step(np.array([math.nan, 0.0]), 0.0, 1e-3, 1e-3)[0])
+        with pytest.raises(NonFiniteState) as err:
+            law.step(np.array([1.0, 0.0]), 0.0, 2e-3, 1e-3)
+        assert err.value.t == pytest.approx(1e-3)
 
     def test_rejects_zero_gain_estimate(self):
         with pytest.raises(ValueError):

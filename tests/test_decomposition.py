@@ -15,7 +15,10 @@ from scl_lab.decomposition import (
     replay_observer,
     decomposition_deviation,
 )
+from scl_lab.numerics import NonFiniteState
 from scl_lab.plants import PlantModel, build_example1, build_example2, build_example3, simulate
+
+SCLC_CELLS = [("ex1", None), ("ex2", None)] + [("ex3", sc) for sc in ("i", "ii", "iii", "iv")]
 
 
 def linear_plant():
@@ -105,6 +108,21 @@ class TestObserver:
                          t_end=2.0)
         dec = make_decomposition(setup.plant)
         assert replay_observer(dec, trace) < 1e-9
+
+    @pytest.mark.parametrize("example, scenario", SCLC_CELLS)
+    def test_replay_is_exact_on_every_composite_cell(self, bench, example, scenario):
+        # Replay steps through the same ``advance`` on the recorded
+        # (x, u, u_s), so it repeats the run's arithmetic bit for bit.
+        trace, _ = bench.cell(example, "sclc", scenario)
+        assert replay_observer(build_run(example, "sclc", scenario).law.dec, trace) == 0.0
+
+    @pytest.mark.parametrize("bad", ["x", "u"])
+    def test_non_finite_input_raises(self, bad):
+        dec = make_decomposition(build_example3()[0])
+        x, u = np.array([1.0, -1.0]), np.array([0.5])
+        (x if bad == "x" else u)[0] = math.nan
+        with pytest.raises(NonFiniteState):
+            dec.advance(np.zeros(2), x, u, np.zeros(1), 1e-3)
 
     def test_reconstruction_identity(self):
         # xhat_p = x - xhat_s is algebraic; only rounding can show up.

@@ -22,7 +22,7 @@ TRACE_SHA256 = {
     ("ex3", "jlc", "i"): "0650915f4690199c8155c2df6da4b5d3d33376b2df6bb45436d8e9c0ff59bfe3",
     ("ex3", "flc", "i"): "195c059c65e28da779797d7dfe3092b041412ad87653af5fed435b62ceaec503",
     ("ex3", "rflc", "i"): "fb955ce9458da5e682b20e7e77d899148efd1201c62639bc8879e38ab9a2a24b",
-    ("ex3", "adrc", "i"): "2b397681738d47fcea367d83e212abf81243b663a54512d1e1542ea38a5399aa",
+    ("ex3", "adrc", "i"): "acd57eb07480191a5712b085a7c41dba8e82c162881735d299dafdf621186441",
     ("ex3", "sclc", "ii"): "9062c442a942dc65f84813595dd8b524d405bf820aa7126f7f7a076cb6913625",
     ("ex3", "sclc", "iii"): "e9336c1057c2ab0322eb3e500e81b65031e940e8119d37c7b1986c6dbe79ddee",
     ("ex3", "sclc", "iv"): "b4a5101348a2540431dbb0b4253e1943a9c76da9dfaf569eabfce2858ce1ff23",
@@ -34,22 +34,22 @@ TABLE1 = {
     ("i", "jlc"): ("converged", "2.485377798495307", "1.8264280638989088"),
     ("i", "flc"): ("converged", "3.475245230424072", "3.806749162797397"),
     ("i", "rflc"): ("converged", "1.751995628592235", "0.929625392561734"),
-    ("i", "adrc"): ("converged", "2.5723764854663558", "3.9047581505316513"),
+    ("i", "adrc"): ("converged", "2.5723764854662785", "3.9047581505311957"),
     ("ii", "sclc"): ("converged", "5.237270296318009", "3.076655872360735"),
     ("ii", "jlc"): ("unstable", "None", "None"),
     ("ii", "flc"): ("singular", "7.694142038759034", "8.302475466805117"),
     ("ii", "rflc"): ("singular", "3.5293133493809665", "1.7639030431370275"),
-    ("ii", "adrc"): ("converged", "9.652239090890488", "19.223186183938267"),
+    ("ii", "adrc"): ("converged", "9.652239090890054", "19.223186183935677"),
     ("iii", "sclc"): ("converged", "11.433309566853897", "50.85136427328189"),
     ("iii", "jlc"): ("converged", "13.113735059349354", "57.38850179950062"),
     ("iii", "flc"): ("converged", "20.00729198407822", "94.98592200461995"),
     ("iii", "rflc"): ("converged", "10.470412900360113", "47.134237668808915"),
-    ("iii", "adrc"): ("converged", "7.707592480827184", "28.998421401419407"),
+    ("iii", "adrc"): ("converged", "7.707592480827474", "28.998421401421332"),
     ("iv", "sclc"): ("converged", "2.2393841844195226", "1.3162779997632554"),
     ("iv", "jlc"): ("converged", "2.8899797831578056", "2.18753626381837"),
     ("iv", "flc"): ("converged", "2.7384048557223526", "2.5260171488124734"),
     ("iv", "rflc"): ("singular", "None", "None"),
-    ("iv", "adrc"): ("converged", "3.306483624369834", "5.470110249785627"),
+    ("iv", "adrc"): ("converged", "3.3064836243697044", "5.4701102497848915"),
 }
 
 

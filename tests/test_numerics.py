@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scl_lab.numerics import (
     CareProblem,
@@ -13,6 +16,7 @@ from scl_lab.numerics import (
     integrate,
     is_hurwitz,
     jacobian_fd,
+    rk4_affine,
     rk4_step,
     solve_care,
 )
@@ -43,6 +47,36 @@ class TestRk4:
 
         ratio = endpoint_error(1e-2) / endpoint_error(5e-3)
         assert 14.0 <= ratio <= 18.0
+
+
+@st.composite
+def linear_steps(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.floats(-10.0, 10.0)
+    A = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    x = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    b = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    return A, draw(st.floats(1e-4, 0.05)), x, b
+
+
+class TestRk4Affine:
+    @settings(max_examples=200, deadline=None)
+    @given(case=linear_steps())
+    def test_matches_one_rk4_step_of_the_linear_field(self, case):
+        A, dt, x, b = case
+        T, S = rk4_affine(A, dt)
+        expected = rk4_step(lambda t, xi: A @ xi + b, 0.0, x, dt)
+        tol = 1e-12 * (1.0 + np.abs(x).max() + np.abs(b).max())
+        assert np.abs(T @ x + S @ b - expected).max() <= tol
+
+    def test_zero_matrix_holds_the_state_and_integrates_the_drive(self):
+        T, S = rk4_affine(np.zeros((2, 2)), 0.5)
+        np.testing.assert_array_equal(T, np.eye(2))
+        np.testing.assert_array_equal(S, 0.5 * np.eye(2))
+
+    def test_rejects_nonpositive_dt(self):
+        with pytest.raises(ValueError):
+            rk4_affine(np.eye(1), 0.0)
 
 
 class TestIntegrate:

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scl_lab.controllers import ControlLaw, ZeroLaw
 from scl_lab.metrics import report
@@ -51,6 +54,32 @@ class TestExample1:
         plant, sc = build_example1()
         trace = simulate(plant, ZeroLaw(), sc, dt=1e-3, t_end=10.0)
         assert trace.x[-1, 0] == pytest.approx(3.0 / 4.0, abs=1e-9)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def clamps(draw):
+    # Nonzero bounds: a u of +-0 then never ties with one, so the sign of
+    # the result does not rest on numpy's undocumented tie rule.
+    bound = st.floats(allow_nan=False).filter(lambda v: v != 0.0)
+    lo, hi = sorted((draw(bound), draw(bound)))
+    assume(lo < hi)
+    shape = draw(st.sampled_from([(1,), (3,), (20, 1), (7, 3)]))
+    u = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        SPECIAL, st.sampled_from([lo, hi, -lo, -hi]), st.floats())))
+    return Saturation(lo, hi), u
+
+
+class TestSaturation:
+    @settings(max_examples=300, deadline=None)
+    @given(case=clamps())
+    def test_equals_np_clip_bit_for_bit(self, case):
+        sat, u = case
+        got, expected = sat(u), np.clip(u, sat.lo, sat.hi)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestExample2:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scl_lab import svg
-from scl_lab.svg import Panel, _fmt, _ticks
+from scl_lab.svg import Panel, _labels, _ticks
 
 
 def reference_render_panel(panel, width, height, y0):
@@ -41,18 +41,20 @@ def reference_render_panel(panel, width, height, y0):
     out = [f'<text class="t" x="{ml}" y="{y0 + 18}">{panel.title}</text>',
            f'<rect x="{ml}" y="{y0 + mt}" width="{pw}" height="{ph}" '
            'fill="none" stroke="#333"/>']
-    for tv in _ticks(x_lo, x_hi):
+    x_ticks = _ticks(x_lo, x_hi)
+    for tv, label in zip(x_ticks, _labels(x_ticks)):
         x = px(tv)
         out.append(f'<line x1="{x:.1f}" y1="{y0 + mt + ph}" x2="{x:.1f}" '
                    f'y2="{y0 + mt + ph + 4}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{y0 + mt + ph + 16}" '
-                   f'text-anchor="middle">{_fmt(tv)}</text>')
-    for tv in _ticks(y_lo, y_hi):
+                   f'text-anchor="middle">{label}</text>')
+    y_ticks = _ticks(y_lo, y_hi)
+    for tv, label in zip(y_ticks, _labels(y_ticks)):
         y = py(tv)
         out.append(f'<line x1="{ml - 4}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" '
                    'stroke="#333"/>')
         out.append(f'<text x="{ml - 7}" y="{y + 3.5:.1f}" '
-                   f'text-anchor="end">{_fmt(tv)}</text>')
+                   f'text-anchor="end">{label}</text>')
     out.append(f'<text x="{ml + pw / 2:.1f}" y="{y0 + height - 8}" '
                f'text-anchor="middle">{panel.xlabel}</text>')
     out.append(f'<text x="16" y="{y0 + mt + ph / 2:.1f}" text-anchor="middle" '
