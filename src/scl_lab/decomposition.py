@@ -34,7 +34,15 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .controllers import ControlLaw, ZeroLaw
-from .numerics import as_matrix, as_vector, is_hurwitz, jacobian_fd, rk4_step, step_count
+from .numerics import (
+    NonFiniteState,
+    as_matrix,
+    as_vector,
+    is_hurwitz,
+    jacobian_fd,
+    rk4_step,
+    step_count,
+)
 from .plants import (
     PlantModel,
     _ex1_field,
@@ -83,7 +91,9 @@ class Decomposition:
     def advance(self, xhat_s, x, u, u_s, dt: float) -> np.ndarray:
         """The remainder estimate one RK4 step after ``xhat_s``, with
         (x, u, u_s) held constant.  Pure: the caller keeps the estimate
-        and passes (n,)/(m,) float arrays."""
+        and passes (n,)/(m,) float arrays.  A non-finite update raises
+        NonFiniteState at t=0, since the model has no clock; callers
+        re-raise it at the step time."""
         drive = self.model_field(0.0, x, u) - self.A1 @ x + self.B1 @ (u_s - u)
         return rk4_step(lambda _t, xs: self.A1 @ xs + drive, 0.0, xhat_s, dt)
 
@@ -158,7 +168,10 @@ class CompositeLaw(ControlLaw):
 
     def step(self, x, ref, t, dt):
         if self._prev is not None:
-            self.xhat_s = self.dec.advance(self.xhat_s, *self._prev, dt)
+            try:
+                self.xhat_s = self.dec.advance(self.xhat_s, *self._prev, dt)
+            except NonFiniteState as exc:
+                raise NonFiniteState(t - dt, "RK4 update") from exc
         xhat_s = self.xhat_s
         u_p = self.primary.step(x - xhat_s, ref, t, dt)
         u_s = self.secondary.u_s(x, xhat_s)
@@ -188,8 +201,11 @@ def replay_observer(dec: Decomposition, trace) -> float:
     """
     replay = np.zeros_like(trace.xhat_s)
     for k in range(len(trace) - 1):
-        replay[k + 1] = dec.advance(replay[k], trace.x[k], trace.u_cmd[k],
-                                    trace.u_s[k], trace.dt)
+        try:
+            replay[k + 1] = dec.advance(replay[k], trace.x[k], trace.u_cmd[k],
+                                        trace.u_s[k], trace.dt)
+        except NonFiniteState as exc:
+            raise NonFiniteState(k * trace.dt, "RK4 update") from exc
     return float(np.abs(replay - trace.xhat_s).max())
 
 

@@ -4,7 +4,8 @@ Everything here operates on plain numpy arrays: vectors are 1-D float64
 arrays, matrices are 2-D.  The routines are sized for desk-scale control
 problems (state dimension <= 8) and favour determinism over generality:
 fixed-step RK4, central finite differences, closed-form eigenvalues up to
-3x3 with a LAPACK fallback above.
+3x3 with a LAPACK fallback above, and a Riccati solve by the matrix sign
+function of the Hamiltonian.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 # Default integration step for all benchmark simulations (seconds).
 DEFAULT_DT = 1e-3
@@ -30,6 +30,11 @@ DIVERGENCE_LIMIT = 1e6
 HURWITZ_MARGIN = -1e-9
 
 MAX_EIG_DIM = 8
+
+# Newton sign iteration of the CARE Hamiltonian: relative 1-norm step
+# that ends it, and the iteration cap.
+CARE_SIGN_TOL = 1e-13
+CARE_MAX_ITER = 50
 
 
 class NonFiniteState(RuntimeError):
@@ -323,15 +328,44 @@ def care_residual(p: CareProblem, P: np.ndarray) -> float:
 def solve_care(p: CareProblem) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the CARE and return (P, K) with K = R^-1 B' P.
 
+    W = sign(H) for H = [[A, -B R^-1 B'], [-Q, -A']] comes from the
+    Newton iteration Z <- (Z / c + c Z^-1) / 2 with determinant scaling
+    c = |det Z|^(1/2n) (Roberts 1980; Byers 1987).  The stable invariant
+    subspace of H is the null space of W + I and, when the stabilizing
+    solution exists, the graph [I; P]: so [W12; W22 + I] P =
+    -[W11 + I; W21], solved in the least-squares sense.
+
     The returned P is symmetric PSD with residual below
     1e-8 * (1 + |P|_inf^2), and A - B K is verified Hurwitz.  Raises
-    NotStabilizable when no stabilizing solution exists and NoConvergence
-    when the solver result fails the residual bound.
+    NotStabilizable when no stabilizing solution exists (a singular
+    iterate, as when H has eigenvalues on the imaginary axis; no
+    convergence within CARE_MAX_ITER steps; a rank-deficient graph
+    block) and NoConvergence when the result fails the residual bound.
     """
-    try:
-        P = scipy.linalg.solve_continuous_are(p.A, p.B, p.Q, p.R)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NotStabilizable(f"CARE solve failed: {exc}") from exc
+    n = p.A.shape[0]
+    G = p.B @ np.linalg.solve(p.R, p.B.T)
+    Z = np.block([[p.A, -G], [-p.Q, -p.A.T]])
+    eps = np.finfo(float).eps
+    for _ in range(CARE_MAX_ITER):
+        det = abs(np.linalg.det(Z))
+        if not 0.0 < det < math.inf:
+            raise NotStabilizable("Hamiltonian has eigenvalues on the imaginary axis")
+        Zi = np.linalg.inv(Z)
+        # Numerically singular: Zi is noise, and Z / c or c Zi may overflow.
+        if not np.linalg.norm(Z, 1) * np.linalg.norm(Zi, 1) < 1.0 / eps:
+            raise NotStabilizable("Hamiltonian has eigenvalues on the imaginary axis")
+        c = det ** (1.0 / (2 * n))
+        Z, prev = 0.5 * (Z / c + c * Zi), Z
+        if np.linalg.norm(Z - prev, 1) <= CARE_SIGN_TOL * np.linalg.norm(Z, 1):
+            break
+    else:
+        raise NotStabilizable(f"sign iteration did not converge in {CARE_MAX_ITER} steps")
+    eye = np.eye(n)
+    graph = np.vstack((Z[:n, n:], Z[n:, n:] + eye))
+    P, _, _, sv = np.linalg.lstsq(graph, -np.vstack((Z[:n, :n] + eye, Z[n:, :n])),
+                                  rcond=None)
+    if sv[-1] <= 2 * n * eps * np.linalg.norm(Z, 1):
+        raise NotStabilizable("stable subspace of the Hamiltonian is not a graph [I; P]")
     P = 0.5 * (P + P.T)
     res = care_residual(p, P)
     bound = 1e-8 * (1.0 + float(np.max(np.abs(P))) ** 2)

@@ -2,9 +2,13 @@
 its one law or is rejected with the reason the benchmark set gives."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import scl_lab
 from scl_lab import benchmarks
 from scl_lab.benchmarks import EXAMPLES, METHODS, ConfigError, build_run
 from scl_lab.controllers import (
@@ -76,3 +80,27 @@ def test_ex3_cell_builds_one_plant(method, monkeypatch):
     if method == "sclc":
         # The observer integrates the model of the plant that runs.
         assert setup.law.dec.model_field.__self__ is plant
+
+
+def test_set_up_imports_no_scipy():
+    # Every CLI invocation pays for what set-up imports: the CLI module
+    # and every valid cell, the LQR designs included, stay numpy-only.
+    code = ("import itertools, sys\n"
+            "import scl_lab.cli\n"
+            "from scl_lab.benchmarks import (EXAMPLES, METHODS, SCENARIOS_EX3,\n"
+            "                                ConfigError, build_run)\n"
+            "built = 0\n"
+            "for ex, method in itertools.product(EXAMPLES, METHODS):\n"
+            "    for sc in SCENARIOS_EX3 if ex == 'ex3' else (None,):\n"
+            "        try:\n"
+            "            build_run(ex, method, sc)\n"
+            "        except ConfigError:\n"
+            "            continue\n"
+            "        built += 1\n"
+            "print(built, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(scl_lab.__file__))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["23", "[]"]

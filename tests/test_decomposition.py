@@ -124,6 +124,15 @@ class TestObserver:
         with pytest.raises(NonFiniteState):
             dec.advance(np.zeros(2), x, u, np.zeros(1), 1e-3)
 
+    def test_replay_reports_the_step_time_of_a_non_finite_update(self):
+        setup = build_run("ex3", "sclc", "i")
+        trace = simulate(setup.plant, setup.law, setup.scenario, dt=1e-3,
+                         t_end=0.1)
+        trace.x[40, 1] = math.nan
+        with pytest.raises(NonFiniteState) as err:
+            replay_observer(setup.law.dec, trace)
+        assert err.value.t == pytest.approx(40e-3)
+
     def test_reconstruction_identity(self):
         # xhat_p = x - xhat_s is algebraic; only rounding can show up.
         setup = build_run("ex3", "sclc", "i")
@@ -172,6 +181,18 @@ class TestCompositeLaw:
                 np.testing.assert_array_equal(u, trace.u_cmd[k])
                 np.testing.assert_array_equal(law.xhat_s, trace.xhat_s[k])
         assert replay_observer(dec, trace) < 1e-9
+
+    def test_non_finite_remainder_update_reports_its_step_time(self):
+        # A NaN state at t = 5 ms is consumed by the estimate update at
+        # the next step, which integrates over [5, 6] ms.
+        law = build_run("ex3", "sclc", "i").law
+        dt = 1e-3
+        for k in range(5):
+            law.step(np.array([1.0, -1.0]), 0.0, k * dt, dt)
+        law.step(np.array([math.nan, -1.0]), 0.0, 5 * dt, dt)
+        with pytest.raises(NonFiniteState) as err:
+            law.step(np.array([1.0, -1.0]), 0.0, 6 * dt, dt)
+        assert err.value.t == pytest.approx(5 * dt)
 
     def test_bilinear_composite_is_pure_primary(self):
         setup = build_run("ex1", "sclc")

@@ -18,36 +18,36 @@ TRACE_SHA256 = {
     ("ex1", "sclc", None): "9bed26677bec6651587454e0125715e45253b659f3aa0c5890d905b4b91c52f0",
     ("ex2", "sclc", None): "75213e64cdb4a5a671c15f5ca20b9947721de270be44a20163c11d9a9155ba9c",
     ("ex2", "jlc", None): "8100bb35243ac00c98f9f798b14df9df138d7bd5b5d9fdc09dcc6829990ffc8f",
-    ("ex3", "sclc", "i"): "ddcba79d966d9c5be9c4ed0bd6705dda80a9a32899ee39b93125032d3a2bfbf2",
-    ("ex3", "jlc", "i"): "0650915f4690199c8155c2df6da4b5d3d33376b2df6bb45436d8e9c0ff59bfe3",
-    ("ex3", "flc", "i"): "195c059c65e28da779797d7dfe3092b041412ad87653af5fed435b62ceaec503",
-    ("ex3", "rflc", "i"): "fb955ce9458da5e682b20e7e77d899148efd1201c62639bc8879e38ab9a2a24b",
-    ("ex3", "adrc", "i"): "acd57eb07480191a5712b085a7c41dba8e82c162881735d299dafdf621186441",
-    ("ex3", "sclc", "ii"): "9062c442a942dc65f84813595dd8b524d405bf820aa7126f7f7a076cb6913625",
-    ("ex3", "sclc", "iii"): "e9336c1057c2ab0322eb3e500e81b65031e940e8119d37c7b1986c6dbe79ddee",
-    ("ex3", "sclc", "iv"): "b4a5101348a2540431dbb0b4253e1943a9c76da9dfaf569eabfce2858ce1ff23",
+    ("ex3", "sclc", "i"): "978ef1ec932dcf886e3a90d61d724df34bb5a2add83e4950c33ac22a62d17e1b",
+    ("ex3", "jlc", "i"): "da0a38ff63fadd27839e26bc41935dc068008995b444935eeb99c1bdb14567f7",
+    ("ex3", "flc", "i"): "d52a10adb46ec0378e9745e34db6d2ad3bc47764e528b5810a33b655904f65be",
+    ("ex3", "rflc", "i"): "58528e9c3c653c0b599424aa7cf4e1f84f616fcd29f0df5fb8e06eb0dc16687c",
+    ("ex3", "adrc", "i"): "ae150b2e8fd65bd4f5bc76eb506442260ab3e2bcdb4a6c80bf23082bca453db4",
+    ("ex3", "sclc", "ii"): "934749e711aeecbf1fb3e8ba870c479450c3eea593e19ca3e0a9b09b29f2b2f0",
+    ("ex3", "sclc", "iii"): "db024e7507bf96b6a735a6e10b4958100ed42fc3b964290f7a80eacf78f3f995",
+    ("ex3", "sclc", "iv"): "ae0294110e81146b51bee30a38b4edf046cf694182e552fceecdbe269d96675a",
 }
 
 # (classification, repr(iae), repr(itae)) for every table1 cell.
 TABLE1 = {
-    ("i", "sclc"): ("converged", "2.0022840090725142", "1.14264019960878"),
-    ("i", "jlc"): ("converged", "2.485377798495307", "1.8264280638989088"),
-    ("i", "flc"): ("converged", "3.475245230424072", "3.806749162797397"),
-    ("i", "rflc"): ("converged", "1.751995628592235", "0.929625392561734"),
-    ("i", "adrc"): ("converged", "2.5723764854662785", "3.9047581505311957"),
-    ("ii", "sclc"): ("converged", "5.237270296318009", "3.076655872360735"),
+    ("i", "sclc"): ("converged", "2.0022840090725156", "1.1426401996087814"),
+    ("i", "jlc"): ("converged", "2.485377798495308", "1.8264280638989105"),
+    ("i", "flc"): ("converged", "3.475245230424072", "3.8067491627973973"),
+    ("i", "rflc"): ("converged", "1.7519956285922351", "0.9296253925617346"),
+    ("i", "adrc"): ("converged", "2.5723764854662776", "3.904758150531193"),
+    ("ii", "sclc"): ("converged", "5.237270296318012", "3.076655872360739"),
     ("ii", "jlc"): ("unstable", "None", "None"),
-    ("ii", "flc"): ("singular", "7.694142038759034", "8.302475466805117"),
-    ("ii", "rflc"): ("singular", "3.5293133493809665", "1.7639030431370275"),
-    ("ii", "adrc"): ("converged", "9.652239090890054", "19.223186183935677"),
-    ("iii", "sclc"): ("converged", "11.433309566853897", "50.85136427328189"),
-    ("iii", "jlc"): ("converged", "13.113735059349354", "57.38850179950062"),
-    ("iii", "flc"): ("converged", "20.00729198407822", "94.98592200461995"),
-    ("iii", "rflc"): ("converged", "10.470412900360113", "47.134237668808915"),
-    ("iii", "adrc"): ("converged", "7.707592480827474", "28.998421401421332"),
+    ("ii", "flc"): ("singular", "7.694141913321269", "8.302475197620142"),
+    ("ii", "rflc"): ("singular", "3.529313165273322", "1.7639027608672746"),
+    ("ii", "adrc"): ("converged", "9.652239090890049", "19.22318618393566"),
+    ("iii", "sclc"): ("converged", "11.4333095668539", "50.8513642732819"),
+    ("iii", "jlc"): ("converged", "13.113735059349358", "57.388501799500645"),
+    ("iii", "flc"): ("converged", "20.007291984078222", "94.98592200461997"),
+    ("iii", "rflc"): ("converged", "10.470412900360117", "47.13423766880893"),
+    ("iii", "adrc"): ("converged", "7.707592480827472", "28.998421401421336"),
     ("iv", "sclc"): ("converged", "2.2393841844195226", "1.3162779997632554"),
-    ("iv", "jlc"): ("converged", "2.8899797831578056", "2.18753626381837"),
-    ("iv", "flc"): ("converged", "2.7384048557223526", "2.5260171488124734"),
+    ("iv", "jlc"): ("converged", "2.889979783157806", "2.1875362638183717"),
+    ("iv", "flc"): ("converged", "2.738404855722353", "2.5260171488124747"),
     ("iv", "rflc"): ("singular", "None", "None"),
     ("iv", "adrc"): ("converged", "3.3064836243697044", "5.4701102497848915"),
 }

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -194,10 +195,25 @@ class TestCare:
         assert care_residual(p, P) < 1e-8 * (1.0 + np.max(np.abs(P)) ** 2)
         assert is_hurwitz(p.A - p.B @ K)
 
+    @pytest.mark.filterwarnings("error")
     def test_unstabilizable_pair_rejected(self):
-        # Unstable mode with zero input coupling.
+        # Unstable mode with zero input coupling: the stable subspace of
+        # the Hamiltonian is not a graph [I; P].
         with pytest.raises(NotStabilizable):
             solve_care(CareProblem([[1.0]], [[0.0]], [[1.0]], [[1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A", [
+        [[0.0, 1.0], [-1.0, 0.0]],  # undamped oscillator: eigenvalues +-i
+        [[0.0, 1.0], [0.0, 0.0]],   # double integrator: a singular Hamiltonian
+        # +-3i: the first step leaves a nearly singular iterate whose
+        # inverse overflows; the condition check must stop there.
+        [[0.0, 3.0], [-3.0, 0.0]],
+    ], ids=["oscillator", "double-integrator", "oscillator-3"])
+    def test_hamiltonian_on_imaginary_axis_rejected(self, A):
+        # With no state cost the Hamiltonian keeps the eigenvalues of A.
+        with pytest.raises(NotStabilizable):
+            solve_care(CareProblem(A, [[0.0], [1.0]], np.zeros((2, 2)), [[1.0]]))
 
     def test_asymmetric_q_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +233,46 @@ class TestCare:
             assert care_residual(p, P) < 1e-8 * (1.0 + np.max(np.abs(P)) ** 2)
             assert is_hurwitz(p.A - p.B @ K)
             solved += 1
+
+
+def _min_singular_value(M) -> float:
+    return float(np.linalg.svd(M, compute_uv=False)[-1])
+
+
+@st.composite
+def care_problems(draw):
+    """(A, B, Q) with (A, B) controllable and (C, A) observable, both
+    with a margin, for Q = I (C = I) or Q = C'C."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    entries = st.floats(-2.0, 2.0)
+    A = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    B = draw(hnp.arrays(np.float64, (n, m), elements=entries))
+    if draw(st.booleans()):
+        C = np.eye(n)
+    else:
+        C = draw(hnp.arrays(np.float64, (draw(st.integers(1, n)), n),
+                            elements=entries))
+    powers = [np.linalg.matrix_power(A, k) for k in range(n)]
+    assume(_min_singular_value(np.hstack([Ak @ B for Ak in powers])) > 0.1)
+    assume(_min_singular_value(np.vstack([C @ Ak for Ak in powers])) > 0.1)
+    return A, B, C.T @ C
+
+
+class TestCareAgainstReference:
+    """The sign-function solve against scipy's Schur-method CARE solver,
+    used here as a test-only reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=care_problems())
+    def test_matches_reference_solution(self, problem):
+        A, B, Q = problem
+        p = CareProblem(A, B, Q, np.eye(B.shape[1]))
+        P, K = solve_care(p)
+        ref = scipy.linalg.solve_continuous_are(A, B, Q, p.R)
+        assert np.max(np.abs(P - ref)) <= 1e-8 * np.max(np.abs(ref))
+        assert care_residual(p, P) < 1e-8 * (1.0 + np.max(np.abs(P)) ** 2)
+        assert is_hurwitz(A - B @ K)
 
 
 class TestDelayLine:
