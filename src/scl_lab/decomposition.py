@@ -40,6 +40,8 @@ from .numerics import (
     as_vector,
     is_hurwitz,
     jacobian_fd,
+    matvec,
+    rk4_affine,
     rk4_step,
     step_count,
 )
@@ -91,11 +93,14 @@ class Decomposition:
     def advance(self, xhat_s, x, u, u_s, dt: float) -> np.ndarray:
         """The remainder estimate one RK4 step after ``xhat_s``, with
         (x, u, u_s) held constant.  Pure: the caller keeps the estimate
-        and passes (n,)/(m,) float arrays.  A non-finite update raises
-        NonFiniteState at t=0, since the model has no clock; callers
-        re-raise it at the step time."""
-        drive = self.model_field(0.0, x, u) - self.A1 @ x + self.B1 @ (u_s - u)
-        return rk4_step(lambda _t, xs: self.A1 @ xs + drive, 0.0, xhat_s, dt)
+        and passes (n,)/(m,) float arrays, or a batch of rows (B, n)/
+        (B, m) whose results have, row for row, the bits of the single
+        calls (the model field must keep its rows apart the same way).
+        A non-finite update raises NonFiniteState at t=0, since the
+        model has no clock; callers re-raise it at the step time."""
+        drive = (self.model_field(0.0, x, u) - matvec(self.A1, x)
+                 + matvec(self.B1, u_s - u))
+        return rk4_step(lambda _t, xs: matvec(self.A1, xs) + drive, 0.0, xhat_s, dt)
 
 
 def make_decomposition(plant: PlantModel) -> Decomposition:
@@ -191,22 +196,63 @@ class CompositeLaw(ControlLaw):
         self._channels = None
 
 
-def replay_observer(dec: Decomposition, trace) -> float:
-    """Re-integrate the observer ODE from the recorded (x, u, u_s) signals.
+# Rows of a trace replayed per batched ``advance`` call; bounds the
+# replay's scratch arrays whatever the trace length.
+REPLAY_CHUNK = 4096
 
-    Returns max_k |xhat_s(replay) - xhat_s(trace)|_inf.  Replay and
-    original satisfy the same ODE with the same initial state, so the
-    deviation is pure arithmetic noise; anything larger indicates the
-    trace does not record what the observer actually consumed.
+
+def replay_observer(dec: Decomposition, trace) -> float:
+    """Re-integrate the observer ODE from zero on the recorded (x, u, u_s)
+    signals and compare it with the recorded estimates.
+
+    Returns max_k |xhat_s(replay) - xhat_s(trace)|_inf (0.0 for an empty
+    trace).  Replay and original satisfy the same ODE with the same
+    initial state, so the deviation is pure arithmetic noise; anything
+    larger indicates the trace does not record what the observer
+    actually consumed.
+
+    The observer is linear in its state, so the deviation d_k = replay_k
+    - xhat_s[k] obeys d_0 = -xhat_s[0], d_{k+1} = T d_k + r_k, with T
+    from ``numerics.rk4_affine`` and the residual r_k = advance(xhat_s[k],
+    x[k], u[k], u_s[k]) - xhat_s[k+1].  Batched ``advance`` calls of
+    REPLAY_CHUNK rows repeat the run's arithmetic bit for bit, so a
+    faithful trace has zero residuals and replays to exactly 0.0 without
+    stepping the recurrence; otherwise it is stepped row by row, equal
+    to a step-by-step replay up to rounding.  A non-finite update raises
+    NonFiniteState at its step time.
     """
-    replay = np.zeros_like(trace.xhat_s)
-    for k in range(len(trace) - 1):
+    rows = len(trace)
+    if rows == 0:
+        return 0.0
+    T, _ = rk4_affine(dec.A1, trace.dt)
+    dev = -trace.xhat_s[0]
+    worst = float(np.abs(dev).max())
+    for start in range(0, rows - 1, REPLAY_CHUNK):
+        chunk = slice(start, min(start + REPLAY_CHUNK, rows - 1))
+        signals = (trace.xhat_s[chunk], trace.x[chunk], trace.u_cmd[chunk],
+                   trace.u_s[chunk])
         try:
-            replay[k + 1] = dec.advance(replay[k], trace.x[k], trace.u_cmd[k],
-                                        trace.u_s[k], trace.dt)
+            nxt = dec.advance(*signals, trace.dt)
+        except NonFiniteState:
+            _raise_first_nonfinite(dec, signals, start, trace.dt)
+            raise
+        resid = nxt - trace.xhat_s[chunk.start + 1:chunk.stop + 1]
+        if not (resid.any() or dev.any()):
+            continue
+        for r in resid:
+            dev = T @ dev + r
+            worst = max(worst, float(np.abs(dev).max()))
+    return worst
+
+
+def _raise_first_nonfinite(dec, signals, start, dt):
+    """Re-raise a batch's non-finite update at the step time of its first
+    non-finite row; the single calls repeat the batch's bits."""
+    for k, row in enumerate(zip(*signals)):
+        try:
+            dec.advance(*row, dt)
         except NonFiniteState as exc:
-            raise NonFiniteState(k * trace.dt, "RK4 update") from exc
-    return float(np.abs(replay - trace.xhat_s).max())
+            raise NonFiniteState((start + k) * dt, "RK4 update") from exc
 
 
 # --- Decomposition exactness (x = xp + xs) --------------------------------

@@ -85,6 +85,19 @@ def as_matrix(M, rows: Optional[int] = None, cols: Optional[int] = None,
     return A
 
 
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for one vector ``(n,)``, and row by row for a batch
+    ``(B, n)`` with each row's bits equal to the single call.
+
+    The batch goes through the stacked product ``A @ x[..., None]``; the
+    plain ``x @ A.T`` is one BLAS gemm, which rounds differently (by up
+    to 1e-14 on the shipped models).
+    """
+    if x.ndim == 1:
+        return A @ x
+    return (A @ x[..., None])[..., 0]
+
+
 def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of x' = f(t, x).
 

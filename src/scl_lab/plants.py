@@ -8,7 +8,8 @@ state that yields float64 scalars, which skip the per-call array
 dispatch that dominates a single-lane step, and on a batch it yields the
 ``(B,)`` columns.  They write into ``out.T[k]`` of an ``np.empty``
 output, with the operation order of the scalar formulas, so both forms
-give the same bits per lane.
+give the same bits per lane.  ``_ex2_field`` multiplies through
+``numerics.matvec`` for the same reason.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .numerics import (
     DelayLine,
     NonFiniteState,
     as_vector,
+    matvec,
     rk4_step,
     step_count,
 )
@@ -54,7 +56,12 @@ class PlantModel:
 
     ``field`` and ``output`` take one state ``(n,)`` or a batch
     ``(B, n)``; the harness calls ``output`` once on every recorded
-    state, which must give ``(B, p)``.
+    state, which must give ``(B, p)``.  Row k of a batched ``field``
+    call should have the bits of the single call on row k (multiply
+    through ``numerics.matvec``, not a batched ``x @ A.T``):
+    ``replay_observer`` batches the observer steps a run made one at a
+    time, and reports exactly 0.0 on a faithful trace only then.  A
+    field that rounds its batch differently replays to rounding noise.
 
     ``field`` receives the effective input, i.e. after any saturation
     block; the simulation harness applies ``saturation`` (and any
@@ -170,7 +177,7 @@ EX2_SAT = Saturation(-2.0, 2.0)
 
 
 def _ex2_field(t, x, u, d):
-    return x @ EX2_A.T + u[..., 0:1] * EX2_B + d
+    return matvec(EX2_A, x) + u[..., 0:1] * EX2_B + d
 
 
 def _ex2_output(x):

@@ -3,6 +3,16 @@ import time
 import pytest
 
 from scl_lab.benchmarks import run, table1
+from scl_lab.decomposition import make_decomposition, make_decomposition_ex1
+from scl_lab.plants import build_example2, build_example3
+
+# The remainder observer of each shipped example, for the observer tests
+# (``from conftest import OBSERVER_MODELS``).
+OBSERVER_MODELS = {
+    "ex1": lambda: make_decomposition_ex1(20.0),
+    "ex2": lambda: make_decomposition(build_example2()[0]),
+    "ex3": lambda: make_decomposition(build_example3()[0]),
+}
 
 
 class BenchmarkCache:

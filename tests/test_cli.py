@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scl_lab import cli
-from scl_lab.benchmarks import build_run
+from scl_lab.benchmarks import _REJECTIONS, build_run
 from scl_lab.cli import main, write_trace_csv
 from scl_lab.controllers import ControlLaw, ZeroLaw
 from scl_lab.plants import PlantModel, SimulationTrace
@@ -22,6 +22,23 @@ from scl_lab.plants import PlantModel, SimulationTrace
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def refused_with(tmp_path, capsys, flags, config=None):
+    """Run ``run`` on a selection it must refuse; return its exit code and
+    stderr, and check that no output directory was made."""
+    out = tmp_path / "out"
+    argv = ["run", *flags, "--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses names outside its choices
+        code = exc.code
+    assert not out.exists()
+    return code, capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -153,16 +170,33 @@ class TestRunCommand:
         assert not (tmp_path / "cfg").exists()
 
     def test_rejected_combinations_exit_2(self, tmp_path, capsys):
-        assert main(["run", "--example", "ex2", "--method", "flc",
-                     "--out", str(tmp_path)]) == 2
-        assert "irreversible" in capsys.readouterr().err
-        assert main(["run", "--example", "ex1", "--method", "jlc",
-                     "--out", str(tmp_path)]) == 2
-        assert "equilibrium" in capsys.readouterr().err
+        # Every rejected (example, method) pair, and unknown names given
+        # by flag (argparse) or by config file.
+        cases = [(["--example", ex, "--method", m], None, f"{m} on {ex}: {reason}")
+                 for (ex, m), reason in sorted(_REJECTIONS.items())]
+        cases += [
+            (["--example", "ex4", "--method", "sclc"], None, "invalid choice: 'ex4'"),
+            (["--example", "ex3", "--method", "lqr"], None, "invalid choice: 'lqr'"),
+            (["--example", "ex3", "--method", "sclc", "--scenario", "v"], None,
+             "invalid choice: 'v'"),
+            ([], {"example": "ex4", "method": "sclc"}, "unknown example 'ex4'"),
+            ([], {"example": "ex3", "method": "lqr"}, "unknown method 'lqr'"),
+            ([], {"example": "ex3", "method": "sclc", "scenario": "v"},
+             "unknown scenario 'v'"),
+        ]
+        assert any("irreversible" in reason for *_, reason in cases)
+        assert any("equilibrium" in reason for *_, reason in cases)
+        for flags, config, reason in cases:
+            code, err = refused_with(tmp_path, capsys, flags, config)
+            assert (code, reason in err) == (2, True), (flags, config, err)
 
-    def test_scenario_flag_rejected_outside_ex3(self, tmp_path):
-        assert main(["run", "--example", "ex1", "--method", "sclc",
-                     "--scenario", "i", "--out", str(tmp_path)]) == 2
+    def test_scenario_flag_rejected_outside_ex3(self, tmp_path, capsys):
+        for ex, method in (("ex1", "sclc"), ("ex2", "jlc")):
+            for scenario in ("i", "iv"):
+                code, err = refused_with(tmp_path, capsys, [
+                    "--example", ex, "--method", method, "--scenario", scenario])
+                assert code == 2
+                assert f"{ex} has a single scenario" in err
 
     def test_missing_selection_exits_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2

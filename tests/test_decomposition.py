@@ -1,10 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import OBSERVER_MODELS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from scl_lab import decomposition
 from scl_lab.benchmarks import BACKSTEPPING, build_run, lqr_gain
-from scl_lab.controllers import BacksteppingSecondary, LqrLaw, ZeroLaw
+from scl_lab.controllers import BacksteppingSecondary, ControlLaw, LqrLaw, ZeroLaw
 from scl_lab.decomposition import (
     CompositeLaw,
     Decomposition,
@@ -16,7 +22,14 @@ from scl_lab.decomposition import (
     decomposition_deviation,
 )
 from scl_lab.numerics import NonFiniteState
-from scl_lab.plants import PlantModel, build_example1, build_example2, build_example3, simulate
+from scl_lab.plants import (
+    PlantModel,
+    SimulationTrace,
+    build_example1,
+    build_example2,
+    build_example3,
+    simulate,
+)
 
 SCLC_CELLS = [("ex1", None), ("ex2", None)] + [("ex3", sc) for sc in ("i", "ii", "iii", "iv")]
 
@@ -39,6 +52,46 @@ def unstable_plant():
         output=lambda x: x,
         analytic_jacobian=(np.array([[1.0]]), np.array([[1.0]])),
     )
+
+
+def recorded(x, u, u_s, xhat_s, dt):
+    """A trace holding the signals the remainder observer reads."""
+    rows = x.shape[0]
+    return SimulationTrace(
+        t=np.arange(rows) * dt, x=x, u_cmd=u, u_applied=u, u_p=u - u_s,
+        u_s=u_s, xhat_p=x - xhat_s, xhat_s=xhat_s, y=x[:, :1],
+        y_d=np.zeros(rows), sat_active=np.zeros(rows, dtype=bool), dt=dt)
+
+
+def step_estimates(dec, x, u, u_s, dt, start=0.0):
+    """The estimates a run records: ``advance`` one row at a time from
+    ``start`` (zero, as a composite law starts)."""
+    xhat_s = np.zeros_like(x)
+    xhat_s[0] = start
+    for k in range(x.shape[0] - 1):
+        xhat_s[k + 1] = dec.advance(xhat_s[k], x[k], u[k], u_s[k], dt)
+    return xhat_s
+
+
+def sequential_replay(dec, trace):
+    """Reference: the observer re-integrated one ``advance`` at a time."""
+    replay = step_estimates(dec, trace.x, trace.u_cmd, trace.u_s, trace.dt)
+    return float(np.abs(replay - trace.xhat_s).max())
+
+
+@st.composite
+def observer_records(draw):
+    """A model, random (x, u, u_s) rows, a step and a replay chunk size
+    small enough that records span several chunks."""
+    model = draw(st.sampled_from(sorted(OBSERVER_MODELS)))
+    dec = OBSERVER_MODELS[model]()
+    rows = draw(st.integers(2, 40))
+    signal = st.floats(-10.0, 10.0, allow_nan=False)
+    x, u, u_s = (draw(arrays(np.float64, (rows, cols), elements=signal))
+                 for cols in (dec.n, dec.m, dec.m))
+    dt = draw(st.sampled_from([1e-3, 1e-2]))
+    chunk = draw(st.integers(1, 16))
+    return dec, x, u, u_s, dt, chunk
 
 
 class TestConstruction:
@@ -132,6 +185,53 @@ class TestObserver:
         with pytest.raises(NonFiniteState) as err:
             replay_observer(setup.law.dec, trace)
         assert err.value.t == pytest.approx(40e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=observer_records())
+    def test_stepped_record_replays_to_exactly_zero(self, record):
+        dec, x, u, u_s, dt, chunk = record
+        trace = recorded(x, u, u_s, step_estimates(dec, x, u, u_s, dt), dt)
+        with mock.patch.object(decomposition, "REPLAY_CHUNK", chunk):
+            assert replay_observer(dec, trace) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=observer_records(), data=st.data())
+    def test_perturbed_record_matches_sequential_replay(self, record, data):
+        # The estimates were computed from other u_s values, and from a
+        # start other than zero, than the record holds, so the replay
+        # deviates; the batched replay must find the deviation a
+        # sequential re-integration finds.
+        dec, x, u, u_s, dt, chunk = record
+        unit = st.floats(-1.0, 1.0)
+        start = data.draw(arrays(np.float64, dec.n, elements=unit))
+        xhat_s = step_estimates(dec, x, u, u_s, dt, start)
+        shift = data.draw(arrays(np.float64, u_s.shape, elements=unit))
+        shift[0] = 0.5
+        trace = recorded(x, u, u_s + shift, xhat_s, dt)
+        with mock.patch.object(decomposition, "REPLAY_CHUNK", chunk):
+            dev = replay_observer(dec, trace)
+        assert dev == pytest.approx(sequential_replay(dec, trace), rel=1e-6)
+
+    def test_perturbed_run_matches_sequential_replay(self):
+        setup = build_run("ex3", "sclc", "iii")
+        trace = simulate(setup.plant, setup.law, setup.scenario, dt=1e-3,
+                         t_end=5.0)
+        trace.u_s[::7] += 0.5
+        dev = replay_observer(setup.law.dec, trace)
+        assert dev > 1e-4
+        assert dev == pytest.approx(sequential_replay(setup.law.dec, trace), rel=1e-6)
+
+    def test_run_without_samples_replays_to_zero(self):
+        # A run whose first command is non-finite records no sample.
+        class NanPrimary(ControlLaw):
+            def step(self, x, ref, t, dt):
+                return np.array([math.nan])
+
+        setup = build_run("ex3", "sclc", "i")
+        law = CompositeLaw(setup.law.dec, NanPrimary())
+        trace = simulate(setup.plant, law, setup.scenario)
+        assert len(trace) == 0 and trace.diverged
+        assert replay_observer(law.dec, trace) == 0.0
 
     def test_reconstruction_identity(self):
         # xhat_p = x - xhat_s is algebraic; only rounding can show up.
@@ -260,6 +360,52 @@ class TestDecompositionExactness:
         dev = decomposition_deviation(bad, lambda t: [math.sin(t)],
                             d=None, x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
         assert dev > 1e-3
+
+
+@st.composite
+def polynomial_plants(draw):
+    """A 2-state plant ``x' = A x + b u + quadratic terms + x u terms``
+    with a Hurwitz ``A`` (negative trace, positive determinant), given
+    without an analytic Jacobian or a remainder field."""
+    coeff = st.floats(-1.0, 1.0)
+    a, c = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+    k = draw(st.floats(-2.0, 2.0))
+    A = np.array([[-a, k], [-k, -c]])
+    b = np.array([draw(coeff), draw(coeff)])
+    quad = np.array([[draw(coeff) for _ in range(3)] for _ in range(2)])
+    bilinear = np.array([draw(coeff), draw(coeff)])
+
+    def field(t, x, u, d):
+        x1, x2 = x[..., 0:1], x[..., 1:2]
+        monomials = np.concatenate((x1 * x1, x1 * x2, x2 * x2), axis=-1)
+        return (x @ A.T + u[..., 0:1] * b + monomials @ quad.T
+                + x * u[..., 0:1] * bilinear + d)
+
+    plant = PlantModel(name="poly", n=2, m=1, p=1, field=field,
+                       output=lambda x: x[..., 0:1])
+    return plant, A
+
+
+class TestPolynomialPlantExactness:
+    @settings(max_examples=40, deadline=None)
+    @given(plant_and_A=polynomial_plants(),
+           x0=arrays(np.float64, 2, elements=st.floats(-0.5, 0.5)),
+           d=arrays(np.float64, 2, elements=st.floats(-0.5, 0.5)),
+           tone=st.tuples(st.floats(-1.0, 1.0), st.floats(0.2, 3.0),
+                          st.floats(0.0, 1.0)))
+    def test_generic_remainder_keeps_x_equal_to_xp_plus_xs(
+            self, plant_and_A, x0, d, tone):
+        # The finite-difference origin Jacobian and the generic
+        # remainder f - A1 xp - B1 up, which no shipped plant uses.
+        plant, A = plant_and_A
+        dec = make_decomposition(plant)
+        assert dec.remainder_field is None
+        np.testing.assert_allclose(dec.A1, A, atol=1e-8)
+        amp, w, split = tone
+        dev = decomposition_deviation(
+            dec, lambda t: [amp * math.sin(w * t)], d=d, x0=x0,
+            t_end=0.25, dt=0.01, up_of_t=lambda t: [split * amp * math.sin(w * t)])
+        assert dev < 1e-6
 
 
 class TestSecondaryConvergence:

@@ -1,19 +1,30 @@
-"""The ex3 fields and the harness's batched output keep their bits.
+"""The plant fields, the observer step and the harness's batched output
+keep their bits.
 
 ``_ex3_field`` and ``_ex3_remainder`` unpack components with ``x.T`` and
 write into a preallocated output.  The references below are the
 ``np.stack`` forms they replaced; the new forms must equal them bit for
 bit, on one state and on a batch, and lane k of a batch must equal the
-single call on lane k.
+single call on lane k.  The same per-lane identity holds for the ex1 and
+ex2 fields and for ``Decomposition.advance`` on every shipped model,
+which is what lets ``replay_observer`` batch the run's observer steps
+and still find them exact.
 """
 
 import numpy as np
+from conftest import OBSERVER_MODELS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scl_lab.benchmarks import build_run
-from scl_lab.plants import _ex3_field, _ex3_remainder, simulate
+from scl_lab.plants import (
+    _ex1_field,
+    _ex2_field,
+    _ex3_field,
+    _ex3_remainder,
+    simulate,
+)
 
 
 def reference_ex3_field(t, x, u, d):
@@ -87,6 +98,50 @@ class TestEx3Remainder:
         assert same_bits(out, reference_ex3_remainder(0.0, x, xs, u, u_s))
         for k in range(x.shape[0]):
             assert same_bits(out[k], _ex3_remainder(0.0, x[k], xs[k], u[k], u_s[k]))
+
+
+def lanes_match_single_calls(out, fn, *batch):
+    return all(same_bits(out[k], fn(*(a[k] for a in batch)))
+               for k in range(batch[0].shape[0]))
+
+
+class TestLinearFields:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.one_of(st.just(0.0), vectors(1)))
+    def test_ex1_batch_matches_each_lane(self, data, d):
+        x = data.draw(batches(1))
+        u = data.draw(vectors(x.shape[0], 1))
+        out = _ex1_field(0.0, x, u, d)
+        assert lanes_match_single_calls(out, lambda xk, uk: _ex1_field(0.0, xk, uk, d), x, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.one_of(st.just(0.0), vectors(3)))
+    def test_ex2_batch_matches_each_lane(self, data, d):
+        # A batched ``x @ A.T`` is one BLAS gemm and rounds differently
+        # from the single-state product; the field must not use it.
+        x = data.draw(batches(3))
+        u = data.draw(vectors(x.shape[0], 1))
+        out = _ex2_field(0.0, x, u, d)
+        assert lanes_match_single_calls(out, lambda xk, uk: _ex2_field(0.0, xk, uk, d), x, u)
+
+
+observer_signals = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+class TestObserverStep:
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.sampled_from(sorted(OBSERVER_MODELS)), data=st.data(),
+           dt=st.sampled_from([1e-3, 1e-2, 0.1]))
+    def test_batch_matches_each_lane(self, model, data, dt):
+        dec = OBSERVER_MODELS[model]()
+        size = data.draw(st.integers(1, 20))
+        xs, x, u, u_s = (
+            data.draw(arrays(np.float64, (size, cols), elements=observer_signals))
+            for cols in (dec.n, dec.n, dec.m, dec.m))
+        out = dec.advance(xs, x, u, u_s, dt)
+        assert out.shape == (size, dec.n)
+        assert lanes_match_single_calls(
+            out, lambda *row: dec.advance(*row, dt), xs, x, u, u_s)
 
 
 def test_batched_output_matches_per_row_output_on_ex2():
