@@ -15,7 +15,6 @@ from .controllers import (
     ControlLaw,
     FlcEx3,
     LqrLaw,
-    Pid,
     PidGains,
     PidTrackingLaw,
     RflcEx3,
@@ -44,7 +43,6 @@ from .metrics import (
     itae,
     report,
     saturation_interval,
-    stabilization_error,
     tracking_error,
 )
 from .numerics import (

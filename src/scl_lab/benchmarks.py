@@ -111,7 +111,7 @@ def _law(example: str, method: str, plant: PlantModel,
                             BacksteppingSecondary(BACKSTEPPING))
     if method == "jlc":
         # Shares the decomposition's (A1, B1) by construction.
-        return LqrLaw(lqr_gain(dec.A1, dec.B1), stage_feedback=True)
+        return LqrLaw(lqr_gain(dec.A1, dec.B1))
     if method == "flc":
         return FlcEx3(lqr_gain(*FLC_DESIGN))
     if method == "rflc":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,9 @@ class ControlLaw:
 
     A ``stage_feedback`` law has the harness evaluate ``control_clamped``
     at every RK4 stage state (the continuous closed loop) instead of
-    holding the sampled command over the step.
+    holding the sampled command over the step.  ``reset()`` returns a law
+    to its initial state and zeroes ``singular_count`` and
+    ``near_singular_count``; the harness resets a law before each run.
 
     ``channels(u)`` splits the command ``u`` just returned by ``step``
     into ``(u_p, u_s, xhat_s)``: the primary input, the secondary input
@@ -83,64 +84,52 @@ class PidGains:
                 raise ValueError("PID gains must be finite")
 
 
-class Pid:
-    """Textbook discrete PID on an error signal.
+class PidTrackingLaw(ControlLaw):
+    """Textbook discrete PID on the tracking error ref - output_map(x).
 
-    Trapezoidal integral, backward-difference derivative, no derivative
-    filter and no anti-windup.  The first call primes the difference so
-    the derivative term starts at zero.
+    ``output_map`` extracts the scalar controlled output from whatever
+    state vector the law is fed (the raw plant state, or a primary-state
+    estimate when used inside a composite law).  Trapezoidal integral,
+    backward-difference derivative, no derivative filter and no
+    anti-windup.  The first step primes the difference so the derivative
+    term starts at zero.
     """
 
-    def __init__(self, gains: PidGains):
-        self.gains = gains
-        self.integral = 0.0
-        self._e_prev: Optional[float] = None
+    name = "pid"
 
-    def update(self, e: float, dt: float) -> float:
+    def __init__(self, gains: PidGains, output_map):
+        self.gains = gains
+        self.output_map = output_map
+        self.reset()
+
+    def step(self, x, ref, t, dt):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
+        e = float(ref) - float(self.output_map(x))
         e_prev = e if self._e_prev is None else self._e_prev
         self.integral += 0.5 * dt * (e + e_prev)
         derivative = (e - e_prev) / dt
         self._e_prev = e
         g = self.gains
-        return g.kp * e + g.ki * self.integral + g.kd * derivative
+        return np.array([g.kp * e + g.ki * self.integral + g.kd * derivative])
 
     def reset(self):
         self.integral = 0.0
         self._e_prev = None
 
 
-class PidTrackingLaw(ControlLaw):
-    """PID on the tracking error ref - output_map(x).
+class LqrLaw(ControlLaw):
+    """Static full-state feedback u = -K x.
 
-    ``output_map`` extracts the scalar controlled output from whatever
-    state vector the law is fed (the raw plant state, or a primary-state
-    estimate when used inside a composite law).
+    Memoryless, so as the top-level law it is always stage-fed; as the
+    primary of a composite law it is driven through ``step`` only.
     """
 
-    name = "pid"
-
-    def __init__(self, gains: PidGains, output_map):
-        self.pid = Pid(gains)
-        self.output_map = output_map
-
-    def step(self, x, ref, t, dt):
-        e = float(ref) - float(self.output_map(x))
-        return np.array([self.pid.update(e, dt)])
-
-    def reset(self):
-        self.pid.reset()
-
-
-class LqrLaw(ControlLaw):
-    """Static full-state feedback u = -K x, optionally stage-fed."""
-
     name = "lqr"
+    stage_feedback = True
 
-    def __init__(self, K, stage_feedback=False):
+    def __init__(self, K):
         self.K = as_matrix(K, name="K")
-        self.stage_feedback = stage_feedback
 
     def control(self, x):
         return -self.K @ x
@@ -219,8 +208,7 @@ class _SingularGuardLaw(ControlLaw):
 
     def __init__(self, K):
         self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
-        self.singular_count = 0
-        self.near_singular_count = 0
+        self.reset()
 
     def reset(self):
         self.singular_count = 0
@@ -320,8 +308,7 @@ class AdrcLaw(ControlLaw):
         self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
         # dt -> rk4_affine of the error matrix: derived constants.
         self._rk4_maps: dict = {}
-        self.xhat = np.zeros(3)
-        self._prev: Optional[tuple] = None
+        self.reset()
 
     def step(self, x, ref, t, dt):
         y = float(x[0])

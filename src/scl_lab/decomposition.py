@@ -203,23 +203,15 @@ REPLAY_CHUNK = 4096
 
 def replay_observer(dec: Decomposition, trace) -> float:
     """Re-integrate the observer ODE from zero on the recorded (x, u, u_s)
-    signals and compare it with the recorded estimates.
+    signals and return max_k |xhat_s(replay) - xhat_s(trace)|_inf (0.0
+    for an empty trace); anything above arithmetic noise means the trace
+    does not record what the observer consumed.
 
-    Returns max_k |xhat_s(replay) - xhat_s(trace)|_inf (0.0 for an empty
-    trace).  Replay and original satisfy the same ODE with the same
-    initial state, so the deviation is pure arithmetic noise; anything
-    larger indicates the trace does not record what the observer
-    actually consumed.
-
-    The observer is linear in its state, so the deviation d_k = replay_k
-    - xhat_s[k] obeys d_0 = -xhat_s[0], d_{k+1} = T d_k + r_k, with T
-    from ``numerics.rk4_affine`` and the residual r_k = advance(xhat_s[k],
-    x[k], u[k], u_s[k]) - xhat_s[k+1].  Batched ``advance`` calls of
-    REPLAY_CHUNK rows repeat the run's arithmetic bit for bit, so a
-    faithful trace has zero residuals and replays to exactly 0.0 without
-    stepping the recurrence; otherwise it is stepped row by row, equal
-    to a step-by-step replay up to rounding.  A non-finite update raises
-    NonFiniteState at its step time.
+    The deviation d_k = replay_k - xhat_s[k] obeys d_{k+1} = T d_k + r_k,
+    with the residuals r_k from batched ``advance`` calls; the README's
+    ``observer-check`` entry explains why a faithful trace replays to
+    exactly 0.0.  A non-finite update raises NonFiniteState at its step
+    time.
     """
     rows = len(trace)
     if rows == 0:
@@ -257,24 +249,26 @@ def _raise_first_nonfinite(dec, signals, start, dt):
 
 # --- Decomposition exactness (x = xp + xs) --------------------------------
 
-def _decomposition_deviation(dec: Decomposition, inputs, d, x0,
-                             t_end: float, dt: float) -> np.ndarray:
-    """Max deviation |x - (xp + xs)|_inf when the original, primary and
-    secondary systems are co-integrated under a shared input split.
+def decomposition_deviation(dec: Decomposition, inputs, d, x0,
+                            t_end: float, dt: float) -> np.ndarray:
+    """Worst deviation |x - (xp + xs)|_inf per lane when the original,
+    primary and secondary systems are co-integrated under a shared input
+    split.
 
     All three systems advance inside one RK4 state so the deviation is
     free of raw integration error; it measures whether the secondary
     dynamics really are the original system minus the (A1, B1) primary.
     With a hand-derived ``remainder_field`` this certifies that
     derivation term by term; without one the generic form
-    f - A1 xp - B1 up is used.  ``inputs(t)`` returns the input and its
-    primary part ``(u, u_p)``; it is evaluated once per stage time (the
-    two midpoint stages share theirs).  Batched: ``x0`` may be (B, n)
-    with ``inputs(t)`` returning (B, m) arrays.
+    f - A1 xp - B1 up is used.  ``x0`` is one state (n,) or a batch of
+    lanes (B, n); ``inputs(t)`` returns the input and its primary part
+    ``(u, u_p)`` as (B, m) arrays, and is evaluated once per stage time
+    (the two midpoint stages share theirs).  The disturbance ``d`` (n,)
+    enters the original and primary systems only.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = as_matrix(np.atleast_2d(x0), cols=dec.n, name="x0")
+    d = as_vector(d, dim=dec.n, name="d")
     batch, n = x0.shape
-    d = np.asarray(d, dtype=float)
     last = {}
 
     def combined_rate(t, z):
@@ -302,28 +296,6 @@ def _decomposition_deviation(dec: Decomposition, inputs, d, x0,
     return worst
 
 
-def decomposition_deviation(dec: Decomposition, u_of_t, d, x0,
-                            t_end: float, dt: float, up_of_t=None) -> float:
-    """Max over time of |x - (xp + xs)|_inf for one input signal.
-
-    ``u_of_t(t)`` is the scalar-vector input signal; ``up_of_t`` defaults
-    to the full input (secondary input zero).  The disturbance enters the
-    original and primary systems only.
-    """
-    m = dec.m
-
-    def inputs(t):
-        u = np.atleast_2d(as_vector(u_of_t(t), dim=m, name="u"))
-        if up_of_t is None:
-            return u, u
-        return u, np.atleast_2d(as_vector(up_of_t(t), dim=m, name="u_p"))
-
-    d_vec = np.zeros(dec.n) if d is None else as_vector(d, dim=dec.n, name="d")
-    dev = _decomposition_deviation(dec, inputs, d_vec,
-                                   as_vector(x0, dim=dec.n), t_end, dt)
-    return float(dev[0])
-
-
 @dataclass(frozen=True)
 class ExactnessCase:
     example: str
@@ -331,11 +303,12 @@ class ExactnessCase:
     deviation: float
 
 
-def _random_input_batch(rng, count: int, m: int, amplitude: float = 2.0):
-    """Smooth bounded test inputs: three-tone sinusoid mixes per case."""
+def _random_input_batch(rng, count: int):
+    """Smooth one-channel test inputs bounded by 2: three-tone sinusoid
+    mixes per case."""
     tones = 3
     a = rng.uniform(-1.0, 1.0, size=(count, tones))
-    a *= amplitude / np.maximum(np.abs(a).sum(axis=1, keepdims=True), 1e-9)
+    a *= 2.0 / np.maximum(np.abs(a).sum(axis=1, keepdims=True), 1e-9)
     w = rng.uniform(0.2, 3.0, size=(count, tones))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=(count, tones))
 
@@ -366,14 +339,14 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
     ]
     cases: List[ExactnessCase] = []
     for example, dec, sc in runs:
-        u_fn = _random_input_batch(rng, n_inputs, dec.m)
+        u_fn = _random_input_batch(rng, n_inputs)
         split = rng.uniform(0.0, 1.0, size=(n_inputs, 1))
 
         def inputs(t, u_fn=u_fn, split=split):
             u = u_fn(t)
             return u, split * u
 
-        dev = _decomposition_deviation(dec, inputs, sc.disturbance(dec.n),
-                                       np.tile(sc.x0, (n_inputs, 1)), sc.t_end, dt)
+        dev = decomposition_deviation(dec, inputs, sc.disturbance(dec.n),
+                                      np.tile(sc.x0, (n_inputs, 1)), sc.t_end, dt)
         cases.extend(ExactnessCase(example, i, float(dev[i])) for i in range(n_inputs))
     return cases

@@ -15,11 +15,6 @@ class DivergentTrace(RuntimeError):
     """Integral indices are undefined for a divergent run."""
 
 
-def stabilization_error(trace: SimulationTrace) -> np.ndarray:
-    """Per-sample 1-norm of the state, |x1| + |x2| + ..."""
-    return np.abs(trace.x).sum(axis=1)
-
-
 def tracking_error(trace: SimulationTrace) -> np.ndarray:
     """Per-sample reference error y_d - y (first output channel).
 

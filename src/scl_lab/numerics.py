@@ -23,6 +23,10 @@ DEFAULT_DT = 1e-3
 # Central finite-difference step for Jacobians.
 FD_STEP = 1e-5
 
+# Most steps one fixed-step run may take, about 333x the longest
+# shipped run; a finer grid would allocate or loop without end.
+MAX_STEPS = 10**7
+
 # |x|_inf beyond this declares the trajectory divergent.
 DIVERGENCE_LIMIT = 1e6
 
@@ -138,12 +142,16 @@ def rk4_affine(A, dt: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
-    """Number of RK4 steps covering [t0, t_end]; dt must divide the span."""
+    """Number of RK4 steps covering [t0, t_end]; dt must divide the span
+    in at most MAX_STEPS steps."""
     if not t0 < t_end < math.inf:
         raise ValueError("t_end must be finite and exceed t0")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     span = t_end - t0
+    if not span / dt < MAX_STEPS + 0.5:
+        raise ValueError(f"dt={dt:g} takes {span / dt:.3g} steps over the span "
+                         f"{span:g}, more than MAX_STEPS={MAX_STEPS}")
     n = int(round(span / dt))
     if n < 1 or abs(n * dt - span) > 1e-9:
         raise ValueError(f"dt={dt:g} does not divide the span {span:g}")
@@ -405,11 +413,8 @@ class DelayLine:
             raise ValueError("delay must be non-negative")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.delay = float(delay)
-        self.dt = float(dt)
-        self.fill_value = fill_value
         self.steps = step_count(0.0, delay, dt) if delay > 0.0 else 0
-        self._buf: deque = deque([self.fill_value] * self.steps, maxlen=self.steps or 1)
+        self._buf: deque = deque([fill_value] * self.steps, maxlen=self.steps or 1)
 
     def push(self, sample):
         """Feed one sample in, pop the sample from delay/dt steps ago."""
@@ -418,9 +423,3 @@ class DelayLine:
         out = self._buf.popleft()
         self._buf.append(sample)
         return out
-
-    def reset(self):
-        self._buf = deque([self.fill_value] * self.steps, maxlen=self.steps or 1)
-
-    def __len__(self) -> int:
-        return self.steps

@@ -313,9 +313,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
              if scenario.input_delay > 0.0 else None)
 
     law.reset()
-    singular_before = law.singular_count
-    near_before = law.near_singular_count
-
     N = n_steps + 1
     rec_t = np.empty(N)
     rec_x = np.empty((N, n))
@@ -329,7 +326,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
 
     stage_feedback = law.stage_feedback and delay is None
 
-    diverged = False
     divergence_time = None
     rows = 0
     for k in range(N):
@@ -341,7 +337,6 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         except NonFiniteState:  # raised by the law's own observer
             finite = False
         if not finite:
-            diverged = True
             divergence_time = t
             break
         u_delayed = delay.push(u_cmd.copy()) if delay is not None else u_cmd
@@ -364,17 +359,13 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
             break
 
         try:
-            x_next = _plant_step(plant, law, t, x, u_applied, d_vec, dt,
-                                 stage_feedback)
+            x = _plant_step(plant, law, t, x, u_applied, d_vec, dt, stage_feedback)
+            bounded = np.abs(x).max() <= DIVERGENCE_LIMIT
         except NonFiniteState:
-            diverged = True
+            bounded = False
+        if not bounded:
             divergence_time = t + dt
             break
-        if np.abs(x_next).max() > DIVERGENCE_LIMIT:
-            diverged = True
-            divergence_time = t + dt
-            break
-        x = x_next
 
     # The output feeds nothing back, so it is one batched call on the
     # recorded states.
@@ -387,9 +378,9 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         u_applied=rec_uapp[:rows], u_p=rec_up[:rows], u_s=rec_us[:rows],
         xhat_p=rec_x[:rows] - rec_xhs[:rows], xhat_s=rec_xhs[:rows],
         y=y, y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
-        diverged=diverged, divergence_time=divergence_time,
-        singular_events=law.singular_count - singular_before,
-        near_singular_events=law.near_singular_count - near_before,
+        diverged=divergence_time is not None, divergence_time=divergence_time,
+        singular_events=law.singular_count,
+        near_singular_events=law.near_singular_count,
         tracking=scenario.tracking,
     )
 

@@ -10,7 +10,7 @@ import pytest
 
 import scl_lab
 from scl_lab import benchmarks
-from scl_lab.benchmarks import EXAMPLES, METHODS, ConfigError, build_run
+from scl_lab.benchmarks import EXAMPLES, METHODS, SCENARIOS_EX3, ConfigError, build_run
 from scl_lab.controllers import (
     AdrcLaw,
     BacksteppingSecondary,
@@ -21,6 +21,7 @@ from scl_lab.controllers import (
     ZeroLaw,
 )
 from scl_lab.decomposition import CompositeLaw
+from scl_lab.plants import simulate
 
 # Valid cell -> (law type, primary type, secondary type); None for the
 # single-channel laws.
@@ -36,6 +37,10 @@ CELLS = {
 }
 
 GRID = list(itertools.product(EXAMPLES, METHODS))
+
+# The 23 runnable (example, method, scenario) cells.
+RUNS = ([(ex, m, None) for ex, m in CELLS if ex != "ex3"]
+        + [("ex3", m, sc) for m in METHODS for sc in SCENARIOS_EX3])
 
 
 def test_cells_and_rejections_partition_the_grid():
@@ -58,7 +63,7 @@ def test_cell_builds_its_law_or_is_rejected(example, method):
     if law_type is CompositeLaw:
         assert type(law.primary) is primary_type
         assert type(law.secondary) is secondary_type
-        assert not law.primary.stage_feedback
+        assert not law.stage_feedback
     if law_type is LqrLaw:
         assert law.stage_feedback
 
@@ -104,3 +109,27 @@ def test_set_up_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["23", "[]"]
+
+
+# (singular, near-singular) counts of the first 2 s; every other cell
+# has none.
+GUARD_COUNTS = {("flc", "ii"): (0, 10), ("rflc", "ii"): (0, 6),
+                ("rflc", "iv"): (1, 25)}
+TRACE_ARRAYS = ("t", "x", "u_cmd", "u_applied", "u_p", "u_s", "xhat_p",
+                "xhat_s", "y", "y_d", "sat_active")
+
+
+@pytest.mark.parametrize("example,method,scenario", RUNS)
+def test_a_reused_law_reruns_bit_for_bit(example, method, scenario):
+    # simulate resets the law, so a second run on the same law object
+    # repeats the first; the counters come from the reset, not a diff.
+    setup = build_run(example, method, scenario)
+    first, second = (simulate(setup.plant, setup.law, setup.scenario, t_end=2.0)
+                     for _ in range(2))
+    for name in TRACE_ARRAYS:
+        a, b = getattr(first, name), getattr(second, name)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+    counts = (first.singular_events, first.near_singular_events)
+    assert counts == GUARD_COUNTS.get((method, scenario), (0, 0))
+    assert (second.diverged, second.singular_events,
+            second.near_singular_events) == (first.diverged, *counts)

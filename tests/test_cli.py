@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -270,6 +271,22 @@ class TestCheckCommands:
     def test_observer_check_rejects_delay_not_on_grid(self, capsys):
         assert main(["observer-check", "--dt", "0.0625"]) == 2
         assert "invalid time grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--example", "ex3", "--method", "jlc", "--t-end", "1e300"],
+    ["run", "--example", "ex3", "--method", "jlc", "--dt", "1e-300"],
+    ["table1", "--dt", "1e-12"],
+    ["lemma1-check", "--dt", "1e-12"],
+    ["observer-check", "--dt", "1e-12"],
+])
+def test_grid_of_too_many_steps_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # Refused by the step count, before any allocation or output.
+    monkeypatch.setenv("SCL_LAB_OUT", str(tmp_path / "out"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "invalid time grid" in err and "more than MAX_STEPS=10000000" in err
+    assert not (tmp_path / "out").exists()
 
 
 def reference_trace_csv(trace):

@@ -18,8 +18,8 @@ from scl_lab.controllers import (
     BacksteppingSecondary,
     FlcEx3,
     LqrLaw,
-    Pid,
     PidGains,
+    PidTrackingLaw,
     RflcEx3,
     SingularInput,
     leso_error_matrix,
@@ -27,45 +27,56 @@ from scl_lab.controllers import (
 from scl_lab.numerics import CareProblem, NonFiniteState, eigenvalues, solve_care
 
 
+def tracking_pid(kp, ki, kd):
+    """The PID law on a zero output, so its tracking error is ``ref``."""
+    return PidTrackingLaw(PidGains(kp, ki, kd), lambda x: 0.0)
+
+
+def update(law, e, dt):
+    """One PID step on the error ``e``, as a float."""
+    [u] = law.step(None, e, 0.0, dt)
+    return u
+
+
 class TestPid:
     def test_pure_proportional(self):
-        pid = Pid(PidGains(1.0, 0.0, 0.0))
-        assert pid.update(2.0, 1e-3) == pytest.approx(2.0)
+        pid = tracking_pid(1.0, 0.0, 0.0)
+        assert update(pid, 2.0, 1e-3) == pytest.approx(2.0)
 
     def test_trapezoidal_integral_of_constant(self):
-        pid = Pid(PidGains(0.0, 1.0, 0.0))
+        pid = tracking_pid(0.0, 1.0, 0.0)
         u = 0.0
         for _ in range(1000):
-            u = pid.update(1.0, 1e-3)
+            u = update(pid, 1.0, 1e-3)
         assert u == pytest.approx(1.0, abs=1e-3)
 
     def test_backward_difference_spike(self):
-        pid = Pid(PidGains(0.0, 0.0, 1.0))
-        assert pid.update(0.0, 1e-3) == 0.0
-        assert pid.update(1.0, 1e-3) == pytest.approx(1000.0, abs=1e-9)
-        assert pid.update(1.0, 1e-3) == pytest.approx(0.0, abs=1e-12)
+        pid = tracking_pid(0.0, 0.0, 1.0)
+        assert update(pid, 0.0, 1e-3) == 0.0
+        assert update(pid, 1.0, 1e-3) == pytest.approx(1000.0, abs=1e-9)
+        assert update(pid, 1.0, 1e-3) == pytest.approx(0.0, abs=1e-12)
 
     def test_first_call_has_no_derivative_kick(self):
-        pid = Pid(PidGains(0.0, 0.0, 1.0))
-        assert pid.update(21.0, 1e-3) == 0.0
+        pid = tracking_pid(0.0, 0.0, 1.0)
+        assert update(pid, 21.0, 1e-3) == 0.0
 
     def test_gain_scaling_doubles_output(self):
         rng = np.random.default_rng(23)
         errors = rng.standard_normal(200)
-        p1 = Pid(PidGains(0.7, 1.1, -0.02))
-        p2 = Pid(PidGains(1.4, 2.2, -0.04))
+        p1 = tracking_pid(0.7, 1.1, -0.02)
+        p2 = tracking_pid(1.4, 2.2, -0.04)
         for e in errors:
-            u1 = p1.update(float(e), 1e-3)
-            u2 = p2.update(float(e), 1e-3)
+            u1 = update(p1, float(e), 1e-3)
+            u2 = update(p2, float(e), 1e-3)
             assert u2 == pytest.approx(2.0 * u1, rel=1e-12)
 
     def test_reset_restores_initial_state(self):
-        pid = Pid(PidGains(1.0, 1.0, 1.0))
-        pid.update(1.0, 1e-3)
-        pid.update(-2.0, 1e-3)
+        pid = tracking_pid(1.0, 1.0, 1.0)
+        update(pid, 1.0, 1e-3)
+        update(pid, -2.0, 1e-3)
         pid.reset()
         assert pid.integral == 0.0
-        assert pid.update(2.0, 1e-3) == pytest.approx(2.0 + 0.002, abs=1e-12)
+        assert update(pid, 2.0, 1e-3) == pytest.approx(2.0 + 0.002, abs=1e-12)
 
 
 class TestLqr:

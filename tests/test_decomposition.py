@@ -302,32 +302,41 @@ class TestCompositeLaw:
         np.testing.assert_array_equal(trace.u_p, trace.u_cmd)
 
 
+def one_signal(u_of_t, up_of_t=None):
+    """``decomposition_deviation`` inputs for one lane: the signal and its
+    primary part, the whole signal unless ``up_of_t`` is given."""
+    def inputs(t):
+        u = np.array([u_of_t(t)], dtype=float)
+        return u, u if up_of_t is None else np.array([up_of_t(t)], dtype=float)
+    return inputs
+
+
 class TestDecompositionExactness:
     def test_linear_plant_superposition(self):
         dec = make_decomposition(linear_plant())
-        dev = decomposition_deviation(dec, lambda t: [math.sin(t)],
+        [dev] = decomposition_deviation(dec, one_signal(lambda t: [math.sin(t)]),
                             d=[0.5, -0.25], x0=[1.0, -1.0], t_end=5.0, dt=1e-3)
         assert dev < 1e-9
 
     def test_two_state_example_with_disturbance(self):
         plant, _ = build_example3()
         dec = make_decomposition(plant)
-        dev = decomposition_deviation(dec, lambda t: [math.sin(t)],
+        [dev] = decomposition_deviation(dec, one_signal(lambda t: [math.sin(t)]),
                             d=[1.0, 1.0], x0=[2.0, 2.0], t_end=10.0, dt=1e-3)
         assert dev < 1e-6
 
     def test_bilinear_example(self):
         dec = make_decomposition_ex1(20.0)
-        dev = decomposition_deviation(dec, lambda t: [1.0], d=[3.0],
+        [dev] = decomposition_deviation(dec, one_signal(lambda t: [1.0]), d=[3.0],
                             x0=[-1.0], t_end=10.0, dt=1e-3)
         assert dev < 1e-6
 
     def test_split_input_between_channels(self):
         plant, _ = build_example3()
         dec = make_decomposition(plant)
-        dev = decomposition_deviation(dec, lambda t: [math.sin(t)],
-                            d=None, x0=[1.0, 0.5], t_end=5.0, dt=1e-3,
-                            up_of_t=lambda t: [0.25 * math.sin(t)])
+        [dev] = decomposition_deviation(
+            dec, one_signal(lambda t: [math.sin(t)], lambda t: [0.25 * math.sin(t)]),
+            d=[0.0, 0.0], x0=[1.0, 0.5], t_end=5.0, dt=1e-3)
         assert dev < 1e-6
 
     def test_detects_wrong_primary_matrix(self):
@@ -338,8 +347,8 @@ class TestDecompositionExactness:
         bad = Decomposition(np.array([[0.0, 1.0], [-2.0, -3.0]]), good.B1,
                             good.model_field, 2, 1,
                             remainder_field=good.remainder_field)
-        dev = decomposition_deviation(bad, lambda t: [math.sin(t)],
-                            d=None, x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
+        [dev] = decomposition_deviation(bad, one_signal(lambda t: [math.sin(t)]),
+                            d=[0.0, 0.0], x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
         assert dev > 1e-3
 
     def test_detects_wrong_remainder_reading(self):
@@ -357,8 +366,8 @@ class TestDecompositionExactness:
 
         bad = Decomposition(good.A1, good.B1, good.model_field, 2, 1,
                             remainder_field=misread)
-        dev = decomposition_deviation(bad, lambda t: [math.sin(t)],
-                            d=None, x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
+        [dev] = decomposition_deviation(bad, one_signal(lambda t: [math.sin(t)]),
+                            d=[0.0, 0.0], x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
         assert dev > 1e-3
 
 
@@ -402,9 +411,10 @@ class TestPolynomialPlantExactness:
         assert dec.remainder_field is None
         np.testing.assert_allclose(dec.A1, A, atol=1e-8)
         amp, w, split = tone
-        dev = decomposition_deviation(
-            dec, lambda t: [amp * math.sin(w * t)], d=d, x0=x0,
-            t_end=0.25, dt=0.01, up_of_t=lambda t: [split * amp * math.sin(w * t)])
+        [dev] = decomposition_deviation(
+            dec, one_signal(lambda t: [amp * math.sin(w * t)],
+                            lambda t: [split * amp * math.sin(w * t)]),
+            d=d, x0=x0, t_end=0.25, dt=0.01)
         assert dev < 1e-6
 
 

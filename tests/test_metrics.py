@@ -10,7 +10,6 @@ from scl_lab.metrics import (
     itae,
     report,
     saturation_interval,
-    stabilization_error,
     tracking_error,
 )
 from scl_lab.plants import SimulationTrace
@@ -61,7 +60,6 @@ class TestIndices:
     def test_error_extractors(self):
         tr = make_trace([0.0, 1.0], [2.0, -3.0], y_d=[1.0, 1.0])
         np.testing.assert_allclose(tracking_error(tr), [-1.0, 4.0])
-        np.testing.assert_allclose(stabilization_error(tr), [2.0, 3.0])
 
 
 class TestIndexProperties:

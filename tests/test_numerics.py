@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scl_lab.numerics import (
+    MAX_STEPS,
     CareProblem,
     DelayLine,
     DivergenceDetected,
@@ -20,6 +21,7 @@ from scl_lab.numerics import (
     rk4_affine,
     rk4_step,
     solve_care,
+    step_count,
 )
 
 
@@ -48,6 +50,20 @@ class TestRk4:
 
         ratio = endpoint_error(1e-2) / endpoint_error(5e-3)
         assert 14.0 <= ratio <= 18.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.5, 3.0), c=st.floats(0.5, 3.0), k=st.floats(-2.0, 2.0))
+    def test_fourth_order_convergence_on_hurwitz_systems(self, a, c, k):
+        # The Hurwitz family of the polynomial test plants, against the
+        # matrix exponential: halving dt cuts the endpoint error by ~2^4.
+        A = np.array([[-a, k], [-k, -c]])
+        exact = scipy.linalg.expm(A) @ np.array([1.0, 0.0])
+
+        def endpoint_error(dt):
+            samples = integrate(lambda t, x: A @ x, [1.0, 0.0], 0.0, 1.0, dt)
+            return np.abs(samples[-1][1] - exact).max()
+
+        assert 14.0 <= endpoint_error(0.1) / endpoint_error(0.05) <= 20.0
 
 
 @st.composite
@@ -100,6 +116,17 @@ class TestIntegrate:
     def test_dt_must_divide_span(self):
         with pytest.raises(ValueError):
             integrate(lambda t, x: -x, [1.0], 0.0, 1.0, 3e-4)
+
+
+class TestStepCount:
+    def test_limit_is_inclusive(self):
+        assert step_count(0.0, 1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+
+    @pytest.mark.parametrize("t_end,dt", [(1.0, 0.5 / MAX_STEPS), (1e300, 1e-3),
+                                          (10.0, 1e-300), (1e300, 1e-300)])
+    def test_rejects_more_than_max_steps(self, t_end, dt):
+        with pytest.raises(ValueError, match=f"more than MAX_STEPS={MAX_STEPS}"):
+            step_count(0.0, t_end, dt)
 
 
 class TestJacobianFd:
