@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .numerics import (
     CareProblem,
-    DelayLine,
     DivergenceDetected,
     NoConvergence,
     NonFiniteState,

@@ -136,8 +136,10 @@ class RunConfig:
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     allowed = {"example", "method", "scenario", "dt", "t_end", "out"}
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,7 +11,6 @@ function of the Hamiltonian.  numpy is the only dependency.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -179,15 +178,14 @@ def integrate(f: Callable, x0, t0: float, t_end: float,
     return samples
 
 
-def jacobian_fd(f: Callable, x0, u0, h: float = FD_STEP) -> Tuple[np.ndarray, np.ndarray]:
+def jacobian_fd(f: Callable, x0, u0) -> Tuple[np.ndarray, np.ndarray]:
     """Central-difference Jacobians (A, B) of f(x, u) at (x0, u0).
 
-    A[i, j] = (f_i(x0 + h e_j, u0) - f_i(x0 - h e_j, u0)) / (2 h), and the
-    analogous expression over u for B.  Exact for affine fields up to
-    round-off.
+    A[i, j] = (f_i(x0 + h e_j, u0) - f_i(x0 - h e_j, u0)) / (2 h) with
+    h = FD_STEP, and the analogous expression over u for B.  Exact for
+    affine fields up to round-off.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    h = FD_STEP
     x0 = as_vector(x0, name="x0")
     u0 = as_vector(u0, name="u0")
     n = x0.shape[0]
@@ -396,30 +394,3 @@ def solve_care(p: CareProblem) -> Tuple[np.ndarray, np.ndarray]:
     if not is_hurwitz(p.A - p.B @ K):
         raise NotStabilizable("closed loop A - B K is not Hurwitz")
     return P, K
-
-
-class DelayLine:
-    """Pure transport delay on the integration grid.
-
-    Holds delay/dt samples, and ``dt`` must divide a positive delay
-    (ValueError otherwise, as for a horizon); until the line fills, the
-    output is ``fill_value``.  A zero delay is the identity.  Samples are
-    stored as given, so one line carries a scalar or a whole input
-    vector; the caller must not mutate a sample after pushing it.
-    """
-
-    def __init__(self, delay: float, dt: float, fill_value=0.0):
-        if delay < 0.0:
-            raise ValueError("delay must be non-negative")
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.steps = step_count(0.0, delay, dt) if delay > 0.0 else 0
-        self._buf: deque = deque([fill_value] * self.steps, maxlen=self.steps or 1)
-
-    def push(self, sample):
-        """Feed one sample in, pop the sample from delay/dt steps ago."""
-        if self.steps == 0:
-            return sample
-        out = self._buf.popleft()
-        self._buf.append(sample)
-        return out

@@ -23,7 +23,6 @@ import numpy as np
 from .numerics import (
     DEFAULT_DT,
     DIVERGENCE_LIMIT,
-    DelayLine,
     NonFiniteState,
     as_vector,
     matvec,
@@ -106,9 +105,9 @@ class Scenario:
     reference: Optional[Callable] = None  # y_d(t); None means stabilization
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
-        if self.input_delay < 0.0:
+        if not self.input_delay >= 0.0:
             raise ValueError("input delay must be non-negative")
 
     def disturbance(self, n: int) -> np.ndarray:
@@ -292,39 +291,49 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
              dt: float = DEFAULT_DT, t_end: Optional[float] = None) -> SimulationTrace:
     """Run one closed-loop simulation on a uniform grid.
 
-    Per step: evaluate the control law on the measured state, push the
-    command through the (optional) delay line and saturation, hold the
-    applied input constant over one RK4 step of the plant, and record
-    every signal.  Stops early, with the divergence flag set, when the
-    law emits a non-finite command, |x|_inf exceeds the divergence limit
-    or the integrator goes non-finite; the divergent sample itself is not
-    recorded so emitted files stay finite.
+    Per step: evaluate the control law on the measured state, apply the
+    command recorded ``delay / dt`` steps earlier (zero before that)
+    through the optional saturation, hold it over one RK4 step of the
+    plant, and record every signal.  A ``stage_feedback`` law in a
+    delay-free run is evaluated at every RK4 stage state instead.  Stops
+    early, with the divergence flag set, when the law emits a non-finite
+    command, |x|_inf exceeds the divergence limit or the integrator goes
+    non-finite; the divergent sample itself is not recorded so emitted
+    files stay finite.
 
     The disturbance is applied to the plant only; the law never sees it.
     The law receives the commanded input history only through its own
     internal state (an input delay is an unmodeled uncertainty).
     """
     n_steps = step_count(0.0, t_end if t_end is not None else scenario.t_end, dt)
+    lag = (step_count(0.0, scenario.input_delay, dt)
+           if scenario.input_delay > 0.0 else 0)
 
     n, m = plant.n, plant.m
     x = as_vector(scenario.x0, dim=n, name="x0").copy()
     d_vec = scenario.disturbance(n)
-    delay = (DelayLine(scenario.input_delay, dt, np.zeros(m))
-             if scenario.input_delay > 0.0 else None)
+    sat = plant.saturation
 
     law.reset()
     N = n_steps + 1
     rec_t = np.empty(N)
     rec_x = np.empty((N, n))
-    rec_ucmd = np.empty((N, m))
+    # lag rows of zero fill, then the commands: row k is the delayed
+    # command of step k.
+    rec_ucmd = np.zeros((lag + N, m))
     rec_uapp = np.empty((N, m))
     rec_up = np.empty((N, m))
     rec_us = np.empty((N, m))
     rec_xhs = np.empty((N, n))
     rec_yd = np.empty(N)
-    rec_sat = np.zeros(N, dtype=bool)
 
-    stage_feedback = law.stage_feedback and delay is None
+    if law.stage_feedback and lag == 0:
+        def rate(tau, xi):
+            u = law.control_clamped(xi)
+            return plant.field(tau, xi, sat(u) if sat is not None else u, d_vec)
+    else:
+        def rate(tau, xi):
+            return plant.field(tau, xi, u_applied, d_vec)
 
     divergence_time = None
     rows = 0
@@ -339,27 +348,20 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         if not finite:
             divergence_time = t
             break
-        u_delayed = delay.push(u_cmd.copy()) if delay is not None else u_cmd
-        if plant.saturation is not None:
-            u_applied = plant.saturation(u_delayed)
-            saturated = bool(np.any(u_applied != u_delayed))
-        else:
-            u_applied = u_delayed
-            saturated = False
+        rec_ucmd[lag + k] = u_cmd
+        u_applied = rec_ucmd[k] if sat is None else sat(rec_ucmd[k])
 
         rec_t[k] = t
         rec_x[k] = x
-        rec_ucmd[k] = u_cmd
         rec_uapp[k] = u_applied
         rec_up[k], rec_us[k], rec_xhs[k] = law.channels(u_cmd)
         rec_yd[k] = ref
-        rec_sat[k] = saturated
         rows = k + 1
         if k == n_steps:
             break
 
         try:
-            x = _plant_step(plant, law, t, x, u_applied, d_vec, dt, stage_feedback)
+            x = rk4_step(rate, t, x, dt)
             bounded = np.abs(x).max() <= DIVERGENCE_LIMIT
         except NonFiniteState:
             bounded = False
@@ -367,39 +369,21 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
             divergence_time = t + dt
             break
 
-    # The output feeds nothing back, so it is one batched call on the
-    # recorded states.
+    # Neither the output nor the saturation flag feeds anything back, so
+    # both come from the record after the loop.  A row is saturated where
+    # the applied input differs from the delayed command.
     y = plant.output(rec_x[:rows])
     if np.shape(y) != (rows, plant.p):
         raise ValueError(
             f"output of {plant.name!r} must map (B, n) states to (B, {plant.p})")
     return SimulationTrace(
-        t=rec_t[:rows], x=rec_x[:rows], u_cmd=rec_ucmd[:rows],
+        t=rec_t[:rows], x=rec_x[:rows], u_cmd=rec_ucmd[lag:lag + rows],
         u_applied=rec_uapp[:rows], u_p=rec_up[:rows], u_s=rec_us[:rows],
         xhat_p=rec_x[:rows] - rec_xhs[:rows], xhat_s=rec_xhs[:rows],
-        y=y, y_d=rec_yd[:rows], sat_active=rec_sat[:rows], dt=dt,
+        y=y, y_d=rec_yd[:rows], dt=dt,
+        sat_active=np.any(rec_uapp[:rows] != rec_ucmd[:rows], axis=1),
         diverged=divergence_time is not None, divergence_time=divergence_time,
         singular_events=law.singular_count,
         near_singular_events=law.near_singular_count,
         tracking=scenario.tracking,
     )
-
-
-def _plant_step(plant, law, t, x, u_applied, d_vec, dt, stage_feedback):
-    """One RK4 step of the plant under either input convention.
-
-    Default: zero-order hold on the applied input.  Memoryless laws may
-    opt into stage feedback (law re-evaluated at every RK4 stage state),
-    which realises the continuous closed loop; only valid without a
-    delay line.
-    """
-    if stage_feedback:
-        def f(tau, xi):
-            u = law.control_clamped(xi)
-            if plant.saturation is not None:
-                u = plant.saturation(u)
-            return plant.field(tau, xi, u, d_vec)
-    else:
-        def f(tau, xi):
-            return plant.field(tau, xi, u_applied, d_vec)
-    return rk4_step(f, t, x, dt)

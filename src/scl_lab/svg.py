@@ -72,8 +72,9 @@ class Panel:
         self.series = series
 
 
-def render(panels: List[Panel], width: int = 840, panel_height: int = 300) -> str:
+def render(panels: List[Panel]) -> str:
     """Render stacked panels into one standalone SVG document."""
+    width, panel_height = 840, 300
     height = panel_height * len(panels)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -3,6 +3,7 @@ its one law or is rejected with the reason the benchmark set gives."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -21,7 +22,9 @@ from scl_lab.controllers import (
     ZeroLaw,
 )
 from scl_lab.decomposition import CompositeLaw
+from scl_lab.metrics import report
 from scl_lab.plants import simulate
+from test_golden import TABLE1
 
 # Valid cell -> (law type, primary type, secondary type); None for the
 # single-channel laws.
@@ -133,3 +136,18 @@ def test_a_reused_law_reruns_bit_for_bit(example, method, scenario):
     assert counts == GUARD_COUNTS.get((method, scenario), (0, 0))
     assert (second.diverged, second.singular_events,
             second.near_singular_events) == (first.diverged, *counts)
+
+
+def test_table1_cells_in_shuffled_order_match_the_pins():
+    # Each cell's law is built once and the cells run in an order other
+    # than table1's: no state may leak from one run into the next.
+    cells = list(TABLE1)
+    setups = {(sc, m): build_run("ex3", m, sc) for sc, m in cells}
+    random.Random(20240811).shuffle(cells)
+    assert cells != list(TABLE1)
+    got = {}
+    for key in cells:
+        setup = setups[key]
+        rep = report(simulate(setup.plant, setup.law, setup.scenario))
+        got[key] = (rep.classification, repr(rep.iae), repr(rep.itae))
+    assert got == TABLE1

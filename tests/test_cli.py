@@ -220,6 +220,16 @@ class TestRunCommand:
         cfg.write_text(json.dumps({"example": "ex3", "methods": "jlc"}))
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("content", [b'{"example": "ex3",', b"\xff\xfe{}"],
+                             ids=["not-json", "not-utf8"])
+    def test_unreadable_config_exits_2_with_reason(self, tmp_path, capsys, content):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config file {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCL_LAB_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from scl_lab.numerics import (
     MAX_STEPS,
     CareProblem,
-    DelayLine,
     DivergenceDetected,
     NotStabilizable,
     care_residual,
@@ -300,44 +299,3 @@ class TestCareAgainstReference:
         assert np.max(np.abs(P - ref)) <= 1e-8 * np.max(np.abs(ref))
         assert care_residual(p, P) < 1e-8 * (1.0 + np.max(np.abs(P)) ** 2)
         assert is_hurwitz(A - B @ K)
-
-
-class TestDelayLine:
-    def test_zero_delay_is_identity(self):
-        dl = DelayLine(0.0, 1e-3)
-        assert dl.push(4.2) == 4.2
-
-    def test_constant_input_warmup(self):
-        dl = DelayLine(0.2, 1e-3)
-        outs = [dl.push(1.0) for _ in range(400)]
-        assert outs[:200] == [0.0] * 200
-        assert outs[200:] == [1.0] * 200
-
-    def test_ramp_shift(self):
-        dt = 1e-3
-        dl = DelayLine(0.2, dt)
-        for k in range(500):
-            out = dl.push(k * dt)
-            if k >= 200:
-                assert out == pytest.approx((k - 200) * dt, abs=1e-15)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(19)
-        u1 = rng.standard_normal(300)
-        u2 = rng.standard_normal(300)
-        a, b = 2.5, -1.25
-        d1, d2, dmix = (DelayLine(0.05, 1e-3) for _ in range(3))
-        for s1, s2 in zip(u1, u2):
-            y1 = d1.push(s1)
-            y2 = d2.push(s2)
-            ymix = dmix.push(a * s1 + b * s2)
-            assert ymix == pytest.approx(a * y1 + b * y2, abs=1e-12)
-
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            DelayLine(-0.1, 1e-3)
-
-    def test_rejects_step_that_does_not_divide_delay(self):
-        # round(0.2 / 0.0625) = 3 would silently run a 0.1875 s delay.
-        with pytest.raises(ValueError, match="does not divide"):
-            DelayLine(0.2, 0.0625)

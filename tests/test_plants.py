@@ -128,6 +128,19 @@ class TestExample2:
         assert np.all(trace.u_applied == 2.0)
         assert np.all(trace.sat_active)
 
+    def test_saturation_flag_compares_with_the_delayed_command(self):
+        # Until the 0.2 s delay has passed, the applied input is the zero
+        # fill, which the clamp leaves alone: not saturated, although the
+        # command of 10 is far outside [-2, 2].
+        plant, sc = build_example2()
+        delayed = Scenario(label="delayed", x0=sc.x0, t_end=1.0, input_delay=0.2)
+        trace = simulate(plant, ConstantLaw(10.0), delayed, dt=1e-3)
+        assert len(trace) == 1001
+        assert not np.any(trace.sat_active[:200])
+        assert np.all(trace.u_applied[:200] == 0.0)
+        assert np.all(trace.sat_active[200:])
+        assert np.all(trace.u_applied[200:] == 2.0)
+
 
 class TestExample3:
     def test_field_values(self):
@@ -164,7 +177,58 @@ class TestEquilibria:
             np.testing.assert_allclose(dx, np.zeros(plant.n), atol=1e-15)
 
 
+class ReplayLaw(ControlLaw):
+    """Emits the given commands in order, one per step."""
+
+    def __init__(self, commands):
+        self.commands = commands
+        self.reset()
+
+    def reset(self):
+        self.k = 0
+
+    def step(self, x, ref, t, dt):
+        self.k += 1
+        return self.commands[self.k - 1:self.k]
+
+
+class TestScenario:
+    @pytest.mark.parametrize("field,value", [
+        ("t_end", 0.0), ("t_end", -1.0), ("t_end", math.nan),
+        ("input_delay", -0.1), ("input_delay", math.nan)])
+    def test_rejects_non_positive_horizon_and_negative_delay(self, field, value):
+        kwargs = {"t_end": 1.0, field: value}
+        with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
+            Scenario(label="bad", x0=np.zeros(2), **kwargs)
+
+
 class TestHarness:
+    @settings(max_examples=60, deadline=None)
+    @given(lag=st.integers(0, 50),
+           commands=hnp.arrays(np.float64, st.integers(2, 120),
+                               elements=st.floats(-10.0, 10.0)))
+    def test_delay_shifts_the_command_record(self, lag, commands):
+        # The applied input is the command record shifted by lag rows,
+        # zero-filled, bit for bit: identity at lag 0, a pure shift (so
+        # linear) otherwise.
+        dt = 1e-3
+        plant, _ = build_example3()
+        sc = Scenario(label="replay", x0=np.zeros(2),
+                      t_end=(len(commands) - 1) * dt, input_delay=lag * dt)
+        trace = simulate(plant, ReplayLaw(commands), sc, dt=dt)
+        assert len(trace) == len(commands) and not trace.diverged
+        assert trace.u_cmd[:, 0].tobytes() == commands.tobytes()
+        expected = np.concatenate((np.zeros(lag), commands))[:len(commands)]
+        assert trace.u_applied[:, 0].tobytes() == expected.tobytes()
+        assert not np.any(trace.sat_active)
+
+    def test_step_that_does_not_divide_the_delay_is_rejected(self):
+        # round(0.2 / 0.0625) = 3 would silently run a 0.1875 s delay;
+        # 0.0625 does divide the 10 s horizon.
+        plant, scs = build_example3()
+        with pytest.raises(ValueError, match="does not divide"):
+            simulate(plant, ZeroLaw(), scs[3], dt=0.0625)
+
     def test_delay_block_shifts_applied_input(self):
         plant, scs = build_example3()
         trace = simulate(plant, ConstantLaw(1.0), scs[3], dt=1e-3, t_end=1.0)
