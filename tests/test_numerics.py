@@ -22,6 +22,8 @@ from scl_lab.numerics import (
     solve_care,
     step_count,
 )
+from scl_lab.controllers import ControlLaw
+from scl_lab.plants import Scenario, build_example3, simulate
 
 
 class TestRk4:
@@ -299,3 +301,55 @@ class TestCareAgainstReference:
         assert np.max(np.abs(P - ref)) <= 1e-8 * np.max(np.abs(ref))
         assert care_residual(p, P) < 1e-8 * (1.0 + np.max(np.abs(P)) ** 2)
         assert is_hurwitz(A - B @ K)
+
+
+class _Replay(ControlLaw):
+    """Emits the given commands in order, one per step."""
+
+    def __init__(self, commands):
+        self.commands = np.asarray(commands, dtype=float)
+
+    def reset(self):
+        self.k = 0
+
+    def step(self, x, ref, t, dt):
+        self.k += 1
+        return self.commands[self.k - 1:self.k]
+
+
+def delayed(commands, delay, dt=1e-3):
+    """The input `simulate` applies to ex3 at rest when its law commands
+    `commands` through an input delay of `delay` seconds."""
+    plant, _ = build_example3()
+    sc = Scenario(label="delay", x0=np.zeros(2),
+                  t_end=(len(commands) - 1) * dt, input_delay=delay)
+    trace = simulate(plant, _Replay(commands), sc, dt=dt)
+    assert len(trace) == len(commands) and not trace.diverged
+    return trace.u_applied[:, 0]
+
+
+class TestDelayLine:
+    """The input delay line, which `simulate` reads from its own command
+    record: `step_count(0, delay, dt)` rows of zero fill, then the commands."""
+
+    def test_zero_delay_is_identity(self):
+        assert delayed([4.2, -1.5], 0.0).tolist() == [4.2, -1.5]
+
+    def test_constant_input_warmup(self):
+        outs = delayed(np.ones(400), 0.2).tolist()
+        assert outs[:200] == [0.0] * 200
+        assert outs[200:] == [1.0] * 200
+
+    def test_ramp_shift(self):
+        dt = 1e-3
+        outs = delayed(np.arange(500) * dt, 0.2, dt)
+        for k in range(200, 500):
+            assert outs[k] == pytest.approx((k - 200) * dt, abs=1e-15)
+
+    def test_linearity(self):
+        rng = np.random.default_rng(19)
+        u1 = rng.standard_normal(300)
+        u2 = rng.standard_normal(300)
+        a, b = 2.5, -1.25
+        y1, y2, ymix = (delayed(u, 0.05) for u in (u1, u2, a * u1 + b * u2))
+        np.testing.assert_allclose(ymix, a * y1 + b * y2, rtol=0, atol=1e-12)
