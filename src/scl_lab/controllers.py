@@ -35,6 +35,10 @@ class SingularInput(RuntimeError):
         self.x2 = x2
         self.denominator = denominator
 
+    def __reduce__(self):
+        # args holds only the message; pickle rebuilds from the fields.
+        return type(self), (self.x2, self.denominator)
+
 
 class ControlLaw:
     """Uniform controller interface: measured state in, input vector out.

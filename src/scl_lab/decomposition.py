@@ -28,6 +28,7 @@ afterwards, so one model can back any number of laws and replays.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -303,50 +304,125 @@ class ExactnessCase:
     deviation: float
 
 
-def _random_input_batch(rng, count: int):
-    """Smooth one-channel test inputs bounded by 2: three-tone sinusoid
-    mixes per case."""
+# The sweep's examples, in the order their inputs are drawn.
+EXACTNESS_EXAMPLES = ("ex1", "ex2", "ex3")
+
+
+def _draw_inputs(rng, count: int):
+    """One example's random inputs: smooth one-channel three-tone
+    sinusoid mixes bounded by 2 (amplitudes ``a``, frequencies ``w``,
+    phases ``phi``) and each input's primary share ``split``, drawn in
+    that order."""
     tones = 3
     a = rng.uniform(-1.0, 1.0, size=(count, tones))
     a *= 2.0 / np.maximum(np.abs(a).sum(axis=1, keepdims=True), 1e-9)
     w = rng.uniform(0.2, 3.0, size=(count, tones))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=(count, tones))
+    split = rng.uniform(0.0, 1.0, size=(count, 1))
+    return a, w, phi, split
 
-    def u_of_t(t):
-        return (a * np.sin(w * t + phi)).sum(axis=1, keepdims=True)
 
-    return u_of_t
+def _exactness_example(example: str):
+    """(plant, scenario) of one example of the sweep; ex3 runs scenario
+    (iii), the one with a disturbance."""
+    if example == "ex1":
+        return build_example1()
+    if example == "ex2":
+        return build_example2()
+    plant, scenarios = build_example3()
+    return plant, scenarios[2]
+
+
+def _exactness_deviation(example: str, draws, dt: float) -> np.ndarray:
+    """The sweep's kernel, run in the caller or in its worker: the worst
+    defect of each of one example's inputs ``draws`` (see _draw_inputs)."""
+    plant, sc = _exactness_example(example)
+    dec = (make_decomposition_ex1(sc.ref(0.0)) if example == "ex1"
+           else make_decomposition(plant))
+    a, w, phi, split = draws
+
+    def inputs(t):
+        u = (a * np.sin(w * t + phi)).sum(axis=1, keepdims=True)
+        return u, split * u
+
+    return decomposition_deviation(dec, inputs, sc.disturbance(dec.n),
+                                   np.tile(sc.x0, (len(split), 1)), sc.t_end, dt)
+
+
+def _fork_context():
+    """The fork start method when this process may use 2 or more CPUs and
+    may start children; None otherwise."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    # Imported here, so importing scl_lab stays as fast as it was.
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _send_ex2(conn, draws, dt: float):
+    """Worker body: send the ex2 deviations, or the exception raised."""
+    try:
+        reply = _exactness_deviation("ex2", draws, dt)
+    except Exception as exc:
+        reply = exc
+    conn.send(reply)
+    conn.close()
+
+
+def _sweep_with_worker(ctx, draws, dt: float) -> dict:
+    """Deviations per example, with ex2 in a forked worker while this
+    process runs ex1 and then ex3.  The worker's exception is re-raised
+    here with its type and fields; the worker is always joined, and is
+    terminated first if this process fails."""
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_send_ex2, args=(send_end, draws["ex2"], dt))
+    worker.start()
+    send_end.close()
+    try:
+        deviations = {example: _exactness_deviation(example, draws[example], dt)
+                      for example in ("ex1", "ex3")}
+        reply = recv_end.recv()
+    except EOFError:
+        reply = None
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        recv_end.close()
+        worker.join()
+    if reply is None:
+        raise RuntimeError(f"the ex2 exactness worker exited with code "
+                           f"{worker.exitcode} before sending a result")
+    if isinstance(reply, Exception):
+        raise reply
+    deviations["ex2"] = reply
+    return deviations
 
 
 def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
-                 seed: int = 20240811) -> List[ExactnessCase]:
+                    seed: int = 20240811) -> List[ExactnessCase]:
     """Decomposition-exactness sweep over all example plants.
 
     For each example, runs ``n_inputs`` randomized bounded input signals
     (with a randomized primary/secondary input split) over the full
     benchmark horizon and reports the worst x - (xp + xs) defect per
-    case.  Deterministic for a fixed seed.
+    case.  Deterministic for a fixed seed: every input is drawn up front,
+    and with 2 or more usable CPUs the ex2 sweep runs in a forked worker
+    while the caller runs ex1 and ex3, with the bits of a serial run.
     """
     rng = np.random.default_rng(seed)
-    _, sc1 = build_example1()
-    plant2, sc2 = build_example2()
-    plant3, scs3 = build_example3()
-    # ex3 runs scenario (iii), the one with a disturbance.
-    runs = [
-        ("ex1", make_decomposition_ex1(sc1.ref(0.0)), sc1),
-        ("ex2", make_decomposition(plant2), sc2),
-        ("ex3", make_decomposition(plant3), scs3[2]),
-    ]
-    cases: List[ExactnessCase] = []
-    for example, dec, sc in runs:
-        u_fn = _random_input_batch(rng, n_inputs)
-        split = rng.uniform(0.0, 1.0, size=(n_inputs, 1))
-
-        def inputs(t, u_fn=u_fn, split=split):
-            u = u_fn(t)
-            return u, split * u
-
-        dev = decomposition_deviation(dec, inputs, sc.disturbance(dec.n),
-                                      np.tile(sc.x0, (n_inputs, 1)), sc.t_end, dt)
-        cases.extend(ExactnessCase(example, i, float(dev[i])) for i in range(n_inputs))
-    return cases
+    draws = {example: _draw_inputs(rng, n_inputs) for example in EXACTNESS_EXAMPLES}
+    for example in EXACTNESS_EXAMPLES:
+        step_count(0.0, _exactness_example(example)[1].t_end, dt)
+    ctx = _fork_context()
+    if ctx is None:
+        deviations = {example: _exactness_deviation(example, draws[example], dt)
+                      for example in EXACTNESS_EXAMPLES}
+    else:
+        deviations = _sweep_with_worker(ctx, draws, dt)
+    return [ExactnessCase(example, i, float(deviations[example][i]))
+            for example in EXACTNESS_EXAMPLES for i in range(n_inputs)]

@@ -46,6 +46,11 @@ class NonFiniteState(RuntimeError):
     def __init__(self, t: float, what: str = "state"):
         super().__init__(f"non-finite {what} at t={t:.6g}")
         self.t = t
+        self.what = what
+
+    def __reduce__(self):
+        # args holds only the message; pickle rebuilds from the fields.
+        return type(self), (self.t, self.what)
 
 
 class DivergenceDetected(RuntimeError):
@@ -55,6 +60,10 @@ class DivergenceDetected(RuntimeError):
         super().__init__(f"|x|_inf exceeded {DIVERGENCE_LIMIT:g} at t={t:.6g}")
         self.t = t
         self.samples = samples
+
+    def __reduce__(self):
+        # args holds only the message; pickle rebuilds from the fields.
+        return type(self), (self.t, self.samples)
 
 
 class NoConvergence(RuntimeError):

@@ -105,10 +105,10 @@ class Scenario:
     reference: Optional[Callable] = None  # y_d(t); None means stabilization
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
-        if not self.input_delay >= 0.0:
-            raise ValueError("input delay must be non-negative")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0.0 <= self.input_delay < math.inf:
+            raise ValueError("input delay must be non-negative and finite")
 
     def disturbance(self, n: int) -> np.ndarray:
         if self.d is None:

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
 import math
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from scl_lab.controllers import BacksteppingSecondary, ControlLaw, LqrLaw, ZeroL
 from scl_lab.decomposition import (
     CompositeLaw,
     Decomposition,
+    ExactnessCase,
     UnstableA1,
     ZeroReferenceGain,
     make_decomposition,
@@ -369,6 +374,80 @@ class TestDecompositionExactness:
         [dev] = decomposition_deviation(bad, one_signal(lambda t: [math.sin(t)]),
                             d=[0.0, 0.0], x0=[2.0, 2.0], t_end=5.0, dt=1e-3)
         assert dev > 1e-3
+
+# A step at which the sweep is cheap and every horizon is a whole number
+# of steps; the worker path does not depend on it.
+SWEEP_DT = 0.01
+# sha256 of the 60 case reprs at SWEEP_DT, one per line, as the serial
+# sweep gave them before its ex2 share moved to a worker.
+SWEEP_SHA256 = "07d2c712a42ff00fae7ea0cbc305d64acce7c704fff1be0338850d3a3193998f"
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestExactnessSuite:
+    @pytest.mark.parametrize("cpus,daemon,forks", [(1, False, 0), (2, False, 1),
+                                                   (2, True, 0)])
+    def test_cases_match_the_kernel_run_in_process(self, monkeypatch, cpus,
+                                                   daemon, forks):
+        # Every input is drawn up front, so the ex2 share gives the same
+        # bits in a worker as in the caller, and the cases keep their
+        # order.  A daemonic process may not start children: it runs
+        # every share itself.
+        rng = np.random.default_rng(20240811)
+        draws = [decomposition._draw_inputs(rng, 20)
+                 for _ in decomposition.EXACTNESS_EXAMPLES]
+        expected = [
+            repr(ExactnessCase(example, i, float(dev)))
+            for example, draw in zip(decomposition.EXACTNESS_EXAMPLES, draws)
+            for i, dev in enumerate(
+                decomposition._exactness_deviation(example, draw, SWEEP_DT))]
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", daemon)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            cases = decomposition.exactness_suite(dt=SWEEP_DT)
+        assert fork.call_count == forks
+        assert [repr(case) for case in cases] == expected
+        assert hashlib.sha256("\n".join(expected).encode()).hexdigest() == SWEEP_SHA256
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_non_finite_share_raises_its_step_time_in_the_caller(
+            self, monkeypatch, where):
+        # The model field turns NaN from t = 0.505 on, only in the worker
+        # (ex2) or only in the caller (ex1 and ex3): the step from
+        # t = 0.5 is the first whose stages reach it.
+        caller = os.getpid()
+        build = decomposition._exactness_example
+
+        def poisoned(example):
+            plant, sc = build(example)
+            field = plant.field
+
+            def bad_field(t, x, u, d):
+                here = "worker" if os.getpid() != caller else "caller"
+                poison = t >= 0.505 and here == where
+                return field(t, x, u, d) * (math.nan if poison else 1.0)
+            return dataclasses.replace(plant, field=bad_field), sc
+
+        monkeypatch.setattr(decomposition, "_exactness_example", poisoned)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(NonFiniteState, match="RK4 update at t=0.5$") as info:
+            decomposition.exactness_suite(dt=SWEEP_DT)
+        assert info.value.t == pytest.approx(0.5)
+        assert multiprocessing.active_children() == []
+
+    def test_a_bad_dt_raises_before_any_process_starts(self, monkeypatch):
+        # 0.3 divides the 30 s and 10 s horizons of ex1 and ex3 but not
+        # the 25 s of ex2, the worker's share.
+        usable_cpus(monkeypatch, 2)
+        with mock.patch.object(os, "fork", side_effect=AssertionError) as fork:
+            with pytest.raises(ValueError, match="does not divide the span 25"):
+                decomposition.exactness_suite(dt=0.3)
+        assert fork.call_count == 0
 
 
 @st.composite

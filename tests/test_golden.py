@@ -11,7 +11,9 @@ import hashlib
 
 import pytest
 
+from scl_lab.benchmarks import build_run
 from scl_lab.cli import write_trace_csv
+from scl_lab.plants import simulate
 
 # sha256 of trace.csv at dt = 1e-3 for the 11 valid cells.
 TRACE_SHA256 = {
@@ -59,6 +61,17 @@ def test_trace_csv_digest(bench, tmp_path, cell):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(TRACE_SHA256, key=str), ids=str)
+def test_a_reused_law_reruns_to_the_golden_trace(tmp_path, cell):
+    # simulate resets the law: a second full-horizon run on the same law
+    # object writes the same trace.csv as the first.
+    setup = build_run(*cell)
+    path = tmp_path / "trace.csv"
+    for _ in range(2):
+        write_trace_csv(simulate(setup.plant, setup.law, setup.scenario), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[cell]
 
 
 def test_table1_cells(bench):

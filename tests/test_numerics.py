@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scl_lab.numerics import (
     MAX_STEPS,
     CareProblem,
     DivergenceDetected,
+    NonFiniteState,
     NotStabilizable,
     care_residual,
     eigenvalues,
@@ -22,7 +24,7 @@ from scl_lab.numerics import (
     solve_care,
     step_count,
 )
-from scl_lab.controllers import ControlLaw
+from scl_lab.controllers import ControlLaw, SingularInput
 from scl_lab.plants import Scenario, build_example3, simulate
 
 
@@ -117,6 +119,24 @@ class TestIntegrate:
     def test_dt_must_divide_span(self):
         with pytest.raises(ValueError):
             integrate(lambda t, x: -x, [1.0], 0.0, 1.0, 3e-4)
+
+
+class TestExceptionsPickle:
+    # A forked worker sends its exception back pickled; the copy keeps
+    # the type, the message and the fields.
+    @pytest.mark.parametrize("exc", [
+        NonFiniteState(0.5, "RK4 update"),
+        DivergenceDetected(13.8, [(0.0, np.ones(1))]),
+        SingularInput(math.pi, 1.5e-7),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_round_trip_keeps_type_message_and_fields(self, exc):
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc)
+        fields = {k: v for k, v in vars(exc).items() if k != "samples"}
+        assert {k: getattr(copy, k) for k in fields} == fields
+        if isinstance(exc, DivergenceDetected):
+            assert [(t, x.tolist()) for t, x in copy.samples] == [(0.0, [1.0])]
 
 
 class TestStepCount:

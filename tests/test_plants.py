@@ -195,7 +195,8 @@ class ReplayLaw(ControlLaw):
 class TestScenario:
     @pytest.mark.parametrize("field,value", [
         ("t_end", 0.0), ("t_end", -1.0), ("t_end", math.nan),
-        ("input_delay", -0.1), ("input_delay", math.nan)])
+        ("t_end", math.inf), ("input_delay", -0.1), ("input_delay", math.nan),
+        ("input_delay", math.inf)])
     def test_rejects_non_positive_horizon_and_negative_delay(self, field, value):
         kwargs = {"t_end": 1.0, field: value}
         with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
