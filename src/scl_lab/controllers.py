@@ -26,6 +26,14 @@ SINGULAR_GUARD = 1e-6
 NEAR_SINGULAR = 1e-2
 
 
+def _gain_vector(K) -> np.ndarray:
+    """``K`` flattened to a vector of gains, all of them finite."""
+    K = np.asarray(K, dtype=float).ravel()
+    if not np.isfinite(K).all():
+        raise ValueError("K has non-finite entries")
+    return K
+
+
 class SingularInput(RuntimeError):
     """The input transform denominator vanished (system uncontrollable there)."""
 
@@ -163,8 +171,10 @@ class BacksteppingParams:
     c: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.c <= 0.0:
-            raise ValueError("backstepping parameters a, c must be positive")
+        for name in ("a", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"backstepping parameter {name} must be "
+                                 "positive and finite")
 
 
 class BacksteppingSecondary:
@@ -211,7 +221,7 @@ class _SingularGuardLaw(ControlLaw):
     stage_feedback = True
 
     def __init__(self, K):
-        self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
+        self.K = _gain_vector(K)
         self.reset()
 
     def reset(self):
@@ -303,13 +313,13 @@ class AdrcLaw(ControlLaw):
     name = "adrc"
 
     def __init__(self, b: float, omega0: float, K):
-        if b == 0.0:
-            raise ValueError("input-gain estimate b must be nonzero")
-        if omega0 <= 0.0:
-            raise ValueError("observer bandwidth must be positive")
+        if b == 0.0 or not math.isfinite(b):
+            raise ValueError("input-gain estimate b must be nonzero and finite")
+        if not 0.0 < omega0 < math.inf:
+            raise ValueError("observer bandwidth omega0 must be positive and finite")
         self.b = float(b)
         self.omega0 = float(omega0)
-        self.K = as_vector(np.asarray(K, dtype=float).ravel(), name="K")
+        self.K = _gain_vector(K)
         # dt -> rk4_affine of the error matrix: derived constants.
         self._rk4_maps: dict = {}
         self.reset()

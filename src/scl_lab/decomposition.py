@@ -363,46 +363,6 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _send_ex2(conn, draws, dt: float):
-    """Worker body: send the ex2 deviations, or the exception raised."""
-    try:
-        reply = _exactness_deviation("ex2", draws, dt)
-    except Exception as exc:
-        reply = exc
-    conn.send(reply)
-    conn.close()
-
-
-def _sweep_with_worker(ctx, draws, dt: float) -> dict:
-    """Deviations per example, with ex2 in a forked worker while this
-    process runs ex1 and then ex3.  The worker's exception is re-raised
-    here with its type and fields; the worker is always joined, and is
-    terminated first if this process fails."""
-    recv_end, send_end = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_send_ex2, args=(send_end, draws["ex2"], dt))
-    worker.start()
-    send_end.close()
-    try:
-        deviations = {example: _exactness_deviation(example, draws[example], dt)
-                      for example in ("ex1", "ex3")}
-        reply = recv_end.recv()
-    except EOFError:
-        reply = None
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        recv_end.close()
-        worker.join()
-    if reply is None:
-        raise RuntimeError(f"the ex2 exactness worker exited with code "
-                           f"{worker.exitcode} before sending a result")
-    if isinstance(reply, Exception):
-        raise reply
-    deviations["ex2"] = reply
-    return deviations
-
-
 def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
                     seed: int = 20240811) -> List[ExactnessCase]:
     """Decomposition-exactness sweep over all example plants.
@@ -412,7 +372,8 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
     benchmark horizon and reports the worst x - (xp + xs) defect per
     case.  Deterministic for a fixed seed: every input is drawn up front,
     and with 2 or more usable CPUs the ex2 sweep runs in a forked worker
-    while the caller runs ex1 and ex3, with the bits of a serial run.
+    while the caller runs ex1 and ex3, with the bits of a serial run
+    (the README's simulation conventions say how the worker behaves).
     """
     rng = np.random.default_rng(seed)
     draws = {example: _draw_inputs(rng, n_inputs) for example in EXACTNESS_EXAMPLES}
@@ -423,6 +384,12 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
         deviations = {example: _exactness_deviation(example, draws[example], dt)
                       for example in EXACTNESS_EXAMPLES}
     else:
-        deviations = _sweep_with_worker(ctx, draws, dt)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(1, mp_context=ctx) as pool:
+            ex2 = pool.submit(_exactness_deviation, "ex2", draws["ex2"], dt)
+            deviations = {example: _exactness_deviation(example, draws[example], dt)
+                          for example in ("ex1", "ex3")}
+            deviations["ex2"] = ex2.result()
     return [ExactnessCase(example, i, float(deviations[example][i]))
             for example in EXACTNESS_EXAMPLES for i in range(n_inputs)]

@@ -109,6 +109,10 @@ class Scenario:
             raise ValueError("t_end must be positive and finite")
         if not 0.0 <= self.input_delay < math.inf:
             raise ValueError("input delay must be non-negative and finite")
+        for name in ("x0", "d"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
     def disturbance(self, n: int) -> np.ndarray:
         if self.d is None:

@@ -93,6 +93,7 @@ def test_ex3_cell_builds_one_plant(method, monkeypatch):
 def test_set_up_imports_no_scipy():
     # Every CLI invocation pays for what set-up imports: the CLI module
     # and every valid cell, the LQR designs included, stay numpy-only.
+    # The exactness sweep's process pool is imported only when it runs.
     code = ("import itertools, sys\n"
             "import scl_lab.cli\n"
             "from scl_lab.benchmarks import (EXAMPLES, METHODS, SCENARIOS_EX3,\n"
@@ -105,7 +106,8 @@ def test_set_up_imports_no_scipy():
             "        except ConfigError:\n"
             "            continue\n"
             "        built += 1\n"
-            "print(built, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "forbidden = {'scipy', 'multiprocessing', 'concurrent'}\n"
+            "print(built, sorted(m for m in sys.modules if m.split('.')[0] in forbidden))\n")
     src = os.path.dirname(os.path.dirname(scl_lab.__file__))
     done = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),

@@ -111,6 +111,13 @@ class TestBackstepping:
         with pytest.raises(ValueError):
             BacksteppingParams(a=0.0, c=10.0)
 
+    @pytest.mark.parametrize("name", ["a", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_parameters_must_be_finite(self, name, value):
+        params = {"a": 10.0, "c": 10.0, name: value}
+        with pytest.raises(ValueError, match=f"parameter {name} must be"):
+            BacksteppingParams(**params)
+
 
 class TestFlc:
     def test_origin(self):
@@ -231,6 +238,23 @@ class TestLeso:
     def test_rejects_zero_gain_estimate(self):
         with pytest.raises(ValueError):
             AdrcLaw(0.0, 2.0, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gain_estimate_and_bandwidth(self, value):
+        # A NaN bandwidth used to build, and simulate then refused the
+        # LESO matrix at the first step, a matrix the caller never passed.
+        with pytest.raises(ValueError, match="^input-gain estimate b"):
+            AdrcLaw(value, 2.0, [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="^observer bandwidth omega0"):
+            AdrcLaw(2.0, value, [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("law", [LqrLaw, FlcEx3, RflcEx3,
+                                 lambda K: AdrcLaw(ADRC_B, ADRC_OMEGA0, K)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_laws_reject_a_non_finite_gain(law, value):
+    with pytest.raises(ValueError, match="^K has non-finite entries$"):
+        law([[1.7, value]])
 
 
 class TestMethodEquivalence:

@@ -440,6 +440,22 @@ class TestExactnessSuite:
         assert info.value.t == pytest.approx(0.5)
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_dies_without_a_result_raises_in_the_caller(
+            self, monkeypatch):
+        caller = os.getpid()
+        build = decomposition._exactness_example
+
+        def dying(example):
+            if os.getpid() != caller:
+                os._exit(7)
+            return build(example)
+
+        monkeypatch.setattr(decomposition, "_exactness_example", dying)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError):
+            decomposition.exactness_suite(dt=SWEEP_DT)
+        assert multiprocessing.active_children() == []
+
     def test_a_bad_dt_raises_before_any_process_starts(self, monkeypatch):
         # 0.3 divides the 30 s and 10 s horizons of ex1 and ex3 but not
         # the 25 s of ex2, the worker's share.

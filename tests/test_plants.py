@@ -202,6 +202,15 @@ class TestScenario:
         with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
             Scenario(label="bad", x0=np.zeros(2), **kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("x0", [math.nan, 0.0]), ("x0", [0.0, -math.inf]),
+        ("d", [math.inf, 0.0]), ("d", [0.0, math.nan])])
+    def test_rejects_non_finite_initial_state_and_disturbance(self, field, value):
+        # Simulated, these gave a trace that diverged at t=0.
+        kwargs = {"x0": np.zeros(2), field: np.array(value)}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            Scenario(label="bad", t_end=1.0, **kwargs)
+
 
 class TestHarness:
     @settings(max_examples=60, deadline=None)
