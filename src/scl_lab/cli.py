@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -101,38 +100,6 @@ def write_plot_svg(trace: SimulationTrace, path: Path, title: str):
     path.write_text(doc)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved ``run`` invocation; flags override the config file.
-
-    Deterministic by construction: no seeds, and identical configs give
-    byte-identical output files.
-    """
-
-    example: str
-    method: str
-    scenario: Optional[str] = None
-    dt: float = DEFAULT_DT
-    t_end: Optional[float] = None
-    out: str = "out"
-
-    @classmethod
-    def resolve(cls, args) -> "RunConfig":
-        cfg = _load_config(args.config)
-        example = args.example or cfg.get("example")
-        method = args.method or cfg.get("method")
-        if example is None or method is None:
-            raise ConfigError("both --example and --method are required")
-        t_end = args.t_end if args.t_end is not None else cfg.get("t_end")
-        return cls(
-            example=example, method=method,
-            scenario=args.scenario or cfg.get("scenario"),
-            dt=float(args.dt if args.dt is not None else cfg.get("dt", DEFAULT_DT)),
-            t_end=None if t_end is None else float(t_end),
-            out=str(args.out or cfg.get("out") or _default_out()),
-        )
-
-
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -171,27 +138,32 @@ def _example_horizons():
 
 
 def cmd_run(args) -> int:
-    config = RunConfig.resolve(args)
-    out_dir = Path(config.out)
+    """One cell; a flag overrides the config file's value, and identical
+    settings give byte-identical output files."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    config = {**_load_config(args.config), **given}
+    example, method = config.get("example"), config.get("method")
+    if example is None or method is None:
+        raise ConfigError("both --example and --method are required")
+    t_end = config.get("t_end")
+    t_end = None if t_end is None else float(t_end)
+    out_dir = Path(str(config.get("out") or _default_out()))
 
-    setup = build_run(config.example, config.method, config.scenario)
-    horizon = config.t_end if config.t_end is not None else setup.scenario.t_end
-    _time_step(config.dt, [horizon], [setup.scenario.input_delay])
-    trace = simulate(setup.plant, setup.law, setup.scenario, dt=config.dt,
-                     t_end=config.t_end)
+    setup = build_run(example, method, config.get("scenario"))
+    horizon = t_end if t_end is not None else setup.scenario.t_end
+    dt = _time_step(config.get("dt"), [horizon], [setup.scenario.input_delay])
+    trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt, t_end=t_end)
     rep = evaluate(trace)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
-    scenario = setup.scenario.label if config.example == "ex3" else None
-    meta = {"example": config.example, "method": config.method,
-            "scenario": scenario,
-            "dt": config.dt, "t_end": float(trace.t[-1]) if len(trace) else None,
+    scenario = setup.scenario.label if example == "ex3" else None
+    meta = {"example": example, "method": method, "scenario": scenario,
+            "dt": dt, "t_end": float(trace.t[-1]) if len(trace) else None,
             "samples": len(trace)}
     (out_dir / "report.json").write_text(
         json.dumps({**meta, **rep.as_dict()}, indent=2, sort_keys=True) + "\n")
-    label = f"{config.example}/{config.method}" + (
-        f"/{scenario}" if scenario else "")
+    label = f"{example}/{method}" + (f"/{scenario}" if scenario else "")
     write_plot_svg(trace, out_dir / "plot.svg", label)
 
     print(f"{label}: {rep.classification}", end="")

@@ -135,9 +135,11 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
     term exactly: xs' = -4 xs + x u - y_d u (+ y_d u_s for a general
     input split; the benchmark uses u_p = u).
     """
-    if y_d == 0.0:
-        raise ZeroReferenceGain("y_d = 0 gives B1 = 0; primary loop uncontrollable")
     gain = float(y_d)
+    if not np.isfinite(gain):
+        raise ValueError(f"reference y_d must be finite, got {y_d!r}")
+    if gain == 0.0:
+        raise ZeroReferenceGain("y_d = 0 gives B1 = 0; primary loop uncontrollable")
 
     def remainder(t, x, xs, u, u_s):
         uv = u[..., 0]
@@ -214,6 +216,10 @@ def replay_observer(dec: Decomposition, trace) -> float:
     exactly 0.0.  A non-finite update raises NonFiniteState at its step
     time.
     """
+    widths = (trace.xhat_s.shape[1], trace.u_s.shape[1])
+    if widths != (dec.n, dec.m):
+        raise ValueError(f"trace widths (n, m) = {widths} do not match the "
+                         f"decomposition's ({dec.n}, {dec.m})")
     rows = len(trace)
     if rows == 0:
         return 0.0

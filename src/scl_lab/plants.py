@@ -167,7 +167,7 @@ def _ex1_field(t, x, u, d):
     return (-4.0 * xv + xv * uv)[..., None] + d
 
 
-def _ex1_output(x):
+def _first_state(x):  # the output y = x1 of ex1 and ex3
     return x[..., 0:1]
 
 
@@ -203,10 +203,6 @@ def _ex3_field(t, x, u, d):
     return out
 
 
-def _ex3_output(x):
-    return x[..., 0:1]
-
-
 def _ex3_remainder(t, x, xs, u, u_s):
     # The sin and quadratic terms read the measured x2; only this
     # reading matches the generic remainder f - A1 xp - B1 up term by
@@ -233,7 +229,7 @@ def build_example1() -> Tuple[PlantModel, Scenario]:
     """
     plant = PlantModel(
         name="ex1", n=1, m=1, p=1,
-        field=_ex1_field, output=_ex1_output,
+        field=_ex1_field, output=_first_state,
         analytic_jacobian=(np.array([[-4.0]]), np.array([[0.0]])),
     )
     scenario = Scenario(
@@ -273,7 +269,7 @@ def build_example3() -> Tuple[PlantModel, List[Scenario]]:
     """
     plant = PlantModel(
         name="ex3", n=2, m=1, p=1,
-        field=_ex3_field, output=_ex3_output,
+        field=_ex3_field, output=_first_state,
         analytic_jacobian=(np.array([[0.0, 2.0], [-2.0, -3.0]]),
                            np.array([[0.0], [1.0]])),
         remainder_field=_ex3_remainder,
@@ -298,12 +294,12 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     Per step: evaluate the control law on the measured state, apply the
     command recorded ``delay / dt`` steps earlier (zero before that)
     through the optional saturation, hold it over one RK4 step of the
-    plant, and record every signal.  A ``stage_feedback`` law in a
-    delay-free run is evaluated at every RK4 stage state instead.  Stops
-    early, with the divergence flag set, when the law emits a non-finite
-    command, |x|_inf exceeds the divergence limit or the integrator goes
-    non-finite; the divergent sample itself is not recorded so emitted
-    files stay finite.
+    plant, and record the state, the command, the law's channels and the
+    reference.  A ``stage_feedback`` law in a delay-free run is evaluated
+    at every RK4 stage state instead.  Stops early, with the divergence
+    flag set, when the law emits a non-finite command, |x|_inf exceeds
+    the divergence limit or the integrator goes non-finite; the divergent
+    sample itself is not recorded so emitted files stay finite.
 
     The disturbance is applied to the plant only; the law never sees it.
     The law receives the commanded input history only through its own
@@ -320,12 +316,10 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
 
     law.reset()
     N = n_steps + 1
-    rec_t = np.empty(N)
     rec_x = np.empty((N, n))
     # lag rows of zero fill, then the commands: row k is the delayed
     # command of step k.
     rec_ucmd = np.zeros((lag + N, m))
-    rec_uapp = np.empty((N, m))
     rec_up = np.empty((N, m))
     rec_us = np.empty((N, m))
     rec_xhs = np.empty((N, n))
@@ -355,9 +349,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         rec_ucmd[lag + k] = u_cmd
         u_applied = rec_ucmd[k] if sat is None else sat(rec_ucmd[k])
 
-        rec_t[k] = t
         rec_x[k] = x
-        rec_uapp[k] = u_applied
         rec_up[k], rec_us[k], rec_xhs[k] = law.channels(u_cmd)
         rec_yd[k] = ref
         rows = k + 1
@@ -373,19 +365,21 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
             divergence_time = t + dt
             break
 
-    # Neither the output nor the saturation flag feeds anything back, so
-    # both come from the record after the loop.  A row is saturated where
-    # the applied input differs from the delayed command.
+    # Nothing below feeds back, so it is derived from the record after
+    # the loop.  u_applied is a copy, never a view of the command record;
+    # a row is saturated where it differs from the delayed command.
+    delayed = rec_ucmd[:rows]
+    u_applied = sat(delayed) if sat is not None else delayed.copy()
     y = plant.output(rec_x[:rows])
     if np.shape(y) != (rows, plant.p):
         raise ValueError(
             f"output of {plant.name!r} must map (B, n) states to (B, {plant.p})")
     return SimulationTrace(
-        t=rec_t[:rows], x=rec_x[:rows], u_cmd=rec_ucmd[lag:lag + rows],
-        u_applied=rec_uapp[:rows], u_p=rec_up[:rows], u_s=rec_us[:rows],
+        t=np.arange(rows) * dt, x=rec_x[:rows], u_cmd=rec_ucmd[lag:lag + rows],
+        u_applied=u_applied, u_p=rec_up[:rows], u_s=rec_us[:rows],
         xhat_p=rec_x[:rows] - rec_xhs[:rows], xhat_s=rec_xhs[:rows],
         y=y, y_d=rec_yd[:rows], dt=dt,
-        sat_active=np.any(rec_uapp[:rows] != rec_ucmd[:rows], axis=1),
+        sat_active=np.any(u_applied != delayed, axis=1),
         diverged=divergence_time is not None, divergence_time=divergence_time,
         singular_events=law.singular_count,
         near_singular_events=law.near_singular_count,

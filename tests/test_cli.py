@@ -215,6 +215,50 @@ class TestRunCommand:
         assert report["scenario"] == "i"
         assert report["t_end"] == 1.0
 
+    @pytest.mark.parametrize("key, in_config, flag, expected", [
+        ("example", "ex2", ["--example", "ex3"], "ex3"),
+        ("method", "jlc", ["--method", "flc"], "flc"),
+        ("scenario", "ii", ["--scenario", "iii"], "iii"),
+        ("dt", 1e-3, ["--dt", "0.002"], 0.002),
+        ("t_end", 1.0, ["--t-end", "0.5"], 0.5),
+        ("out", "from-config", ["--out", "from-flag"], None),
+    ])
+    def test_each_flag_overrides_its_config_value(
+            self, tmp_path, monkeypatch, key, in_config, flag, expected):
+        monkeypatch.chdir(tmp_path)
+        config = {"example": "ex3", "method": "jlc", "t_end": 0.5,
+                  "out": "from-config", key: in_config}
+        Path("run.json").write_text(json.dumps(config))
+        assert main(["run", "--config", "run.json", *flag]) == 0
+        if key == "out":
+            assert Path("from-flag", "report.json").exists()
+            assert not Path("from-config").exists()
+        else:
+            report = json.loads(Path("from-config", "report.json").read_text())
+            assert report[key] == expected
+
+    def test_integer_config_dt_is_reported_as_a_float(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"example": "ex3", "method": "sclc",
+                                   "dt": 1, "t_end": 2}))
+        out = tmp_path / "int"
+        # A 1 s step diverges at once; only the recorded dt matters here.
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert '"dt": 1.0,' in (out / "report.json").read_text()
+
+    def test_config_only_run_matches_flags_only_run(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"example": "ex3", "method": "sclc",
+                                   "scenario": "iv", "dt": 0.002, "t_end": 1.0,
+                                   "out": str(tmp_path / "cfg")}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["run", "--example", "ex3", "--method", "sclc",
+                     "--scenario", "iv", "--dt", "0.002", "--t-end", "1",
+                     "--out", str(tmp_path / "flags")]) == 0
+        for name in ("trace.csv", "report.json", "plot.svg"):
+            assert ((tmp_path / "cfg" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes()), name
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"example": "ex3", "methods": "jlc"}))

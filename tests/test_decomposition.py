@@ -132,6 +132,11 @@ class TestConstruction:
         with pytest.raises(ZeroReferenceGain):
             make_decomposition_ex1(0.0)
 
+    @pytest.mark.parametrize("y_d", [math.nan, math.inf, -math.inf])
+    def test_reference_gain_must_be_finite(self, y_d):
+        with pytest.raises(ValueError, match="y_d must be finite"):
+            make_decomposition_ex1(y_d)
+
 
 class TestObserver:
     def test_linear_plant_keeps_zero_remainder(self):
@@ -225,6 +230,13 @@ class TestObserver:
         dev = replay_observer(setup.law.dec, trace)
         assert dev > 1e-4
         assert dev == pytest.approx(sequential_replay(setup.law.dec, trace), rel=1e-6)
+
+    def test_replay_refuses_a_trace_of_other_widths(self):
+        setup = build_run("ex2", "sclc")
+        trace = simulate(setup.plant, setup.law, setup.scenario, t_end=0.01)
+        for model, widths in (("ex3", r"\(2, 1\)"), ("ex1", r"\(1, 1\)")):
+            with pytest.raises(ValueError, match=r"\(3, 1\).*" + widths):
+                replay_observer(OBSERVER_MODELS[model](), trace)
 
     def test_run_without_samples_replays_to_zero(self):
         # A run whose first command is non-finite records no sample.

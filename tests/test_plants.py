@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scl_lab.benchmarks import build_run
 from scl_lab.controllers import ControlLaw, ZeroLaw
 from scl_lab.metrics import report
 from scl_lab.numerics import eigenvalues, is_hurwitz
@@ -304,3 +305,38 @@ class TestHarness:
         plant, sc = build_example1()
         with pytest.raises(ValueError):
             simulate(plant, ZeroLaw(), sc, dt=3e-4, t_end=1.0)
+
+
+# Saturated, delayed, and neither: the columns simulate derives after
+# the loop instead of recording each step.
+DERIVED_CELLS = [("ex2", "sclc", None), ("ex3", "sclc", "iv"), ("ex3", "jlc", "i")]
+
+
+class TestDerivedColumns:
+    @pytest.mark.parametrize("example, method, scenario", DERIVED_CELLS)
+    def test_time_grid_is_k_times_dt(self, bench, example, method, scenario):
+        trace, _ = bench.cell(example, method, scenario)
+        grid = np.array([k * trace.dt for k in range(len(trace))])
+        assert trace.t.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("example, method, scenario", DERIVED_CELLS)
+    def test_applied_input_is_the_saturated_delayed_command(
+            self, bench, example, method, scenario):
+        trace, _ = bench.cell(example, method, scenario)
+        setup = build_run(example, method, scenario)
+        lag = round(setup.scenario.input_delay / trace.dt)
+        delayed = np.concatenate((np.zeros((lag, 1)), trace.u_cmd))[:len(trace)]
+        sat = setup.plant.saturation
+        expected = sat(delayed) if sat is not None else delayed
+        assert trace.u_applied.tobytes() == expected.tobytes()
+        assert (trace.sat_active == (expected != delayed)[:, 0]).all()
+        assert trace.sat_active.any() == (sat is not None)
+
+    @pytest.mark.parametrize("example, method, scenario", DERIVED_CELLS)
+    def test_applied_input_does_not_share_the_command_record(
+            self, example, method, scenario):
+        setup = build_run(example, method, scenario)
+        trace = simulate(setup.plant, setup.law, setup.scenario, t_end=1.0)
+        u_cmd = trace.u_cmd.copy()
+        trace.u_applied[:] = 123.0
+        assert trace.u_cmd.tobytes() == u_cmd.tobytes()
