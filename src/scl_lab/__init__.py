@@ -59,13 +59,12 @@ from .numerics import (
     solve_care,
 )
 from .plants import (
+    EXAMPLES,
     PlantModel,
     Saturation,
     Scenario,
     SimulationTrace,
-    build_example1,
-    build_example2,
-    build_example3,
+    build_example,
     simulate,
 )
 

@@ -29,23 +29,21 @@ from .controllers import (
     PidTrackingLaw,
     RflcEx3,
 )
-from .decomposition import CompositeLaw, make_decomposition, make_decomposition_ex1
+from .decomposition import CompositeLaw, example_decomposition
 from .metrics import PerformanceReport, report
 from .numerics import CareProblem, DEFAULT_DT, solve_care
 from .plants import (
     EX2_C,
+    EXAMPLES,
     PlantModel,
     Scenario,
     SimulationTrace,
-    build_example1,
-    build_example2,
-    build_example3,
+    build_example,
     simulate,
 )
 
-EXAMPLES = ("ex1", "ex2", "ex3")
 METHODS = ("sclc", "jlc", "flc", "rflc", "adrc")
-SCENARIOS_EX3 = ("i", "ii", "iii", "iv")
+SCENARIOS_EX3 = tuple(sc.label for sc in build_example("ex3")[1])
 
 PID_EX1 = PidGains(0.66, 1.33, -0.02)
 PID_EX2 = PidGains(-0.5, -1.3, 0.0)
@@ -99,13 +97,12 @@ def _law(example: str, method: str, plant: PlantModel,
          scenario: Scenario) -> ControlLaw:
     """The law of one valid benchmark cell, built on that cell's plant
     and scenario: the one place a cell's controller is chosen."""
+    dec = example_decomposition(plant, scenario)
     if example == "ex1":
-        dec = make_decomposition_ex1(scenario.ref(0.0))
         return CompositeLaw(dec, PidTrackingLaw(PID_EX1, lambda xp: float(xp[0])))
     if example == "ex2":
         pid = PidTrackingLaw(PID_EX2, lambda x: float(EX2_C @ x))
-        return CompositeLaw(make_decomposition(plant), pid) if method == "sclc" else pid
-    dec = make_decomposition(plant)
+        return CompositeLaw(dec, pid) if method == "sclc" else pid
     if method == "sclc":
         return CompositeLaw(dec, LqrLaw(lqr_gain(dec.A1, dec.B1)),
                             BacksteppingSecondary(BACKSTEPPING))
@@ -131,20 +128,14 @@ def build_run(example: str, method: str,
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     if (example, method) in _REJECTIONS:
         raise ConfigError(f"{method} on {example}: {_REJECTIONS[(example, method)]}")
-    if example != "ex3" and scenario is not None:
+    plant, scenarios = build_example(example)
+    labels = tuple(sc.label for sc in scenarios)
+    if len(labels) == 1 and scenario is not None:
         raise ConfigError(f"{example} has a single scenario; drop --scenario")
-
-    if example == "ex1":
-        plant, sc = build_example1()
-    elif example == "ex2":
-        plant, sc = build_example2()
-    else:
-        label = scenario if scenario is not None else "i"
-        if label not in SCENARIOS_EX3:
-            raise ConfigError(
-                f"unknown scenario {label!r}; choose from {SCENARIOS_EX3}")
-        plant, scenarios = build_example3()
-        sc = scenarios[SCENARIOS_EX3.index(label)]
+    label = labels[0] if scenario is None else scenario
+    if label not in labels:
+        raise ConfigError(f"unknown scenario {label!r}; choose from {labels}")
+    sc = scenarios[labels.index(label)]
     return RunSetup(sc, plant, _law(example, method, plant, sc))
 
 

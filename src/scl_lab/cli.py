@@ -41,14 +41,7 @@ from .decomposition import (
 )
 from .metrics import report as evaluate
 from .numerics import DEFAULT_DT, step_count
-from .plants import (
-    PlantModel,
-    SimulationTrace,
-    build_example1,
-    build_example2,
-    build_example3,
-    simulate,
-)
+from .plants import PlantModel, SimulationTrace, build_example, simulate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,6 +50,11 @@ EXIT_DIVERGED = 3
 
 LEMMA_TOL = 1e-6
 OBSERVER_TOL = 1e-9
+
+# The JSON type of each config key's value.  A JSON number loads as int
+# or float; null, and bool (an int subclass), are refused.
+_CONFIG_TYPES = {**dict.fromkeys(("example", "method", "scenario", "out"), "string"),
+                 "dt": "number", "t_end": "number"}
 
 
 def _default_out() -> str:
@@ -109,14 +107,13 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    allowed = {"example", "method", "scenario", "dt", "t_end", "out"}
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("dt", "t_end"):
-        # JSON numbers load as int or float; bool is an int subclass.
-        if key in cfg and type(cfg[key]) not in (int, float):
-            raise ConfigError(f"config {key!r} must be a number, got {cfg[key]!r}")
+    for key, value in cfg.items():
+        kind = _CONFIG_TYPES[key]
+        if type(value) not in ((str,) if kind == "string" else (int, float)):
+            raise ConfigError(f"config {key!r} must be a {kind}, got {value!r}")
     return cfg
 
 
@@ -132,11 +129,6 @@ def _time_step(dt: Optional[float], horizons, delays=()) -> float:
     return dt
 
 
-def _example_horizons():
-    return ([build_example1()[1].t_end, build_example2()[1].t_end]
-            + [sc.t_end for sc in build_example3()[1]])
-
-
 def cmd_run(args) -> int:
     """One cell; a flag overrides the config file's value, and identical
     settings give byte-identical output files."""
@@ -147,7 +139,7 @@ def cmd_run(args) -> int:
         raise ConfigError("both --example and --method are required")
     t_end = config.get("t_end")
     t_end = None if t_end is None else float(t_end)
-    out_dir = Path(str(config.get("out") or _default_out()))
+    out_dir = Path(config.get("out") or _default_out())
 
     setup = build_run(example, method, config.get("scenario"))
     horizon = t_end if t_end is not None else setup.scenario.t_end
@@ -177,7 +169,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    scenarios = build_example3()[1]
+    scenarios = build_example("ex3")[1]
     dt = _time_step(args.dt, [sc.t_end for sc in scenarios],
                     [sc.input_delay for sc in scenarios])
     out_dir = Path(args.out or _default_out())
@@ -197,7 +189,9 @@ def cmd_table1(args) -> int:
 
 
 def cmd_lemma1_check(args) -> int:
-    cases = exactness_suite(dt=_time_step(args.dt, _example_horizons()))
+    # Horizons only: the sweep runs no input delay.
+    horizons = [sc.t_end for ex in EXAMPLES for sc in build_example(ex)[1]]
+    cases = exactness_suite(dt=_time_step(args.dt, horizons))
     worst = 0.0
     for case in cases:
         print(f"{case.example} input {case.index:2d}: "
@@ -214,8 +208,9 @@ _OBSERVER_RUNS = ([("ex1", None), ("ex2", None)]
 
 
 def cmd_observer_check(args) -> int:
-    dt = _time_step(args.dt, _example_horizons(),
-                    [sc.input_delay for sc in build_example3()[1]])
+    scenarios = [sc for ex in EXAMPLES for sc in build_example(ex)[1]]
+    dt = _time_step(args.dt, [sc.t_end for sc in scenarios],
+                    [sc.input_delay for sc in scenarios])
     ok = True
     for example, sc in _OBSERVER_RUNS:
         setup = build_run(example, "sclc", sc)

@@ -46,13 +46,7 @@ from .numerics import (
     rk4_step,
     step_count,
 )
-from .plants import (
-    PlantModel,
-    _ex1_field,
-    build_example1,
-    build_example2,
-    build_example3,
-)
+from .plants import EXAMPLES, PlantModel, Scenario, _ex1_field, build_example
 
 
 class UnstableA1(RuntimeError):
@@ -149,6 +143,14 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
     return Decomposition(np.array([[-4.0]]), np.array([[gain]]),
                          lambda t, x, u: _ex1_field(t, x, u, 0.0), 1, 1,
                          remainder_field=remainder)
+
+
+def example_decomposition(plant: PlantModel, scenario: Scenario) -> Decomposition:
+    """The decomposition an example's runs and sweep use: ex1's special
+    primary on the scenario's reference at t = 0, the standard
+    construction for every other plant."""
+    return (make_decomposition_ex1(scenario.ref(0.0)) if plant.name == "ex1"
+            else make_decomposition(plant))
 
 
 class CompositeLaw(ControlLaw):
@@ -310,10 +312,6 @@ class ExactnessCase:
     deviation: float
 
 
-# The sweep's examples, in the order their inputs are drawn.
-EXACTNESS_EXAMPLES = ("ex1", "ex2", "ex3")
-
-
 def _draw_inputs(rng, count: int):
     """One example's random inputs: smooth one-channel three-tone
     sinusoid mixes bounded by 2 (amplitudes ``a``, frequencies ``w``,
@@ -331,20 +329,15 @@ def _draw_inputs(rng, count: int):
 def _exactness_example(example: str):
     """(plant, scenario) of one example of the sweep; ex3 runs scenario
     (iii), the one with a disturbance."""
-    if example == "ex1":
-        return build_example1()
-    if example == "ex2":
-        return build_example2()
-    plant, scenarios = build_example3()
-    return plant, scenarios[2]
+    plant, scenarios = build_example(example)
+    return plant, scenarios[2 if example == "ex3" else 0]
 
 
 def _exactness_deviation(example: str, draws, dt: float) -> np.ndarray:
     """The sweep's kernel, run in the caller or in its worker: the worst
     defect of each of one example's inputs ``draws`` (see _draw_inputs)."""
     plant, sc = _exactness_example(example)
-    dec = (make_decomposition_ex1(sc.ref(0.0)) if example == "ex1"
-           else make_decomposition(plant))
+    dec = example_decomposition(plant, sc)
     a, w, phi, split = draws
 
     def inputs(t):
@@ -382,13 +375,13 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
     (the README's simulation conventions say how the worker behaves).
     """
     rng = np.random.default_rng(seed)
-    draws = {example: _draw_inputs(rng, n_inputs) for example in EXACTNESS_EXAMPLES}
-    for example in EXACTNESS_EXAMPLES:
+    draws = {example: _draw_inputs(rng, n_inputs) for example in EXAMPLES}
+    for example in EXAMPLES:
         step_count(0.0, _exactness_example(example)[1].t_end, dt)
     ctx = _fork_context()
     if ctx is None:
         deviations = {example: _exactness_deviation(example, draws[example], dt)
-                      for example in EXACTNESS_EXAMPLES}
+                      for example in EXAMPLES}
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -398,4 +391,4 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
                           for example in ("ex1", "ex3")}
             deviations["ex2"] = ex2.result()
     return [ExactnessCase(example, i, float(deviations[example][i]))
-            for example in EXACTNESS_EXAMPLES for i in range(n_inputs)]
+            for example in EXAMPLES for i in range(n_inputs)]

@@ -285,6 +285,21 @@ def build_example3() -> Tuple[PlantModel, List[Scenario]]:
     return plant, scenarios
 
 
+EXAMPLES = ("ex1", "ex2", "ex3")
+
+
+def build_example(name: str) -> Tuple[PlantModel, List[Scenario]]:
+    """A fresh (plant, scenarios) of one example; ex1 and ex2 have one
+    scenario.  The builder is looked up at each call, so a rebound
+    ``build_example1..3`` (an instrumented one, say) is the one that runs."""
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; choose from {EXAMPLES}")
+    if name == "ex3":
+        return build_example3()
+    plant, scenario = build_example1() if name == "ex1" else build_example2()
+    return plant, [scenario]
+
+
 # --- Closed-loop harness --------------------------------------------------
 
 def simulate(plant: PlantModel, law, scenario: Scenario,

@@ -2,16 +2,28 @@
 its one law or is rejected with the reason the benchmark set gives."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 import scl_lab
-from scl_lab import benchmarks
-from scl_lab.benchmarks import EXAMPLES, METHODS, SCENARIOS_EX3, ConfigError, build_run
+from scl_lab import benchmarks, plants
+from scl_lab.benchmarks import (
+    EXAMPLES,
+    FLC_DESIGN,
+    METHODS,
+    SCENARIOS_EX3,
+    ConfigError,
+    build_run,
+    lqr_gain,
+)
 from scl_lab.controllers import (
     AdrcLaw,
     BacksteppingSecondary,
@@ -21,9 +33,9 @@ from scl_lab.controllers import (
     RflcEx3,
     ZeroLaw,
 )
-from scl_lab.decomposition import CompositeLaw
+from scl_lab.decomposition import CompositeLaw, make_decomposition
 from scl_lab.metrics import report
-from scl_lab.plants import simulate
+from scl_lab.plants import build_example3, simulate
 from test_golden import TABLE1
 
 # Valid cell -> (law type, primary type, secondary type); None for the
@@ -74,13 +86,13 @@ def test_cell_builds_its_law_or_is_rejected(example, method):
 @pytest.mark.parametrize("method", METHODS)
 def test_ex3_cell_builds_one_plant(method, monkeypatch):
     built = []
-    original = benchmarks.build_example3
+    original = plants.build_example3
 
     def counting_build():
         built.append(original())
         return built[-1]
 
-    monkeypatch.setattr(benchmarks, "build_example3", counting_build)
+    monkeypatch.setattr(plants, "build_example3", counting_build)
     setup = build_run("ex3", method, "iii")
     assert len(built) == 1
     plant, scenarios = built[0]
@@ -153,3 +165,32 @@ def test_table1_cells_in_shuffled_order_match_the_pins():
         rep = report(simulate(setup.plant, setup.law, setup.scenario))
         got[key] = (rep.classification, repr(rep.iae), repr(rep.itae))
     assert got == TABLE1
+
+
+@pytest.mark.parametrize("method", ["flc", "rflc"])
+def test_stage_feedback_realizes_the_continuous_closed_loop(bench, method):
+    # In transformed coordinates z with z1 = x1 = y, the (i) closed loop
+    # of FLC and RFLC is linear, z' = (A - B K) z, so IAE and ITAE are
+    # integrals of |z1(t)| with z(t) = expm((A - B K) t) z0.  Stage
+    # feedback integrates that loop, not a sampled one: the table's
+    # cells match to the trapezoid rule's error.
+    plant, scenarios = build_example3()
+    sc = scenarios[0]
+    x1, x2 = sc.x0
+    if method == "flc":
+        (A, B), z2 = FLC_DESIGN, x2 + math.sin(x2)
+    else:
+        dec = make_decomposition(plant)
+        (A, B), z2 = (dec.A1, dec.B1), (x2 + math.sin(x2)) / 2
+    M = A - B @ lqr_gain(A, B)
+
+    def y(t):
+        return abs((scipy.linalg.expm(M * t) @ np.array([x1, z2]))[0])
+
+    def integral(f):
+        return scipy.integrate.quad(f, 0.0, sc.t_end, limit=200,
+                                    epsabs=1e-12, epsrel=1e-12)[0]
+
+    cell = bench.table().cells[("i", method)]
+    assert cell.iae == pytest.approx(integral(y), rel=1e-6, abs=0)
+    assert cell.itae == pytest.approx(integral(lambda t: t * y(t)), rel=1e-6, abs=0)

@@ -259,6 +259,23 @@ class TestRunCommand:
             assert ((tmp_path / "cfg" / name).read_bytes()
                     == (tmp_path / "flags" / name).read_bytes()), name
 
+    @pytest.mark.parametrize("key, value", [
+        ("out", ["a"]), ("out", 5), ("out", None), ("example", ["ex3"]),
+        ("method", True), ("scenario", None)],
+        ids=["out-list", "out-int", "out-null", "example-list", "method-bool",
+             "scenario-null"])
+    def test_config_selection_and_out_must_be_strings(
+            self, tmp_path, monkeypatch, capsys, key, value):
+        # Run from a fresh directory without --out: a refused value
+        # leaves nothing behind, not even the default directory.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SCL_LAB_OUT", raising=False)
+        config = {"example": "ex3", "method": "jlc", "t_end": 0.5, key: value}
+        Path("run.json").write_text(json.dumps(config))
+        assert main(["run", "--config", "run.json"]) == 2
+        assert f"config {key!r} must be a string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"example": "ex3", "methods": "jlc"}))

@@ -411,10 +411,10 @@ class TestExactnessSuite:
         # every share itself.
         rng = np.random.default_rng(20240811)
         draws = [decomposition._draw_inputs(rng, 20)
-                 for _ in decomposition.EXACTNESS_EXAMPLES]
+                 for _ in decomposition.EXAMPLES]
         expected = [
             repr(ExactnessCase(example, i, float(dev)))
-            for example, draw in zip(decomposition.EXACTNESS_EXAMPLES, draws)
+            for example, draw in zip(decomposition.EXAMPLES, draws)
             for i, dev in enumerate(
                 decomposition._exactness_deviation(example, draw, SWEEP_DT))]
         usable_cpus(monkeypatch, cpus)

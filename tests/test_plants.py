@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from scl_lab.plants import (
     PlantModel,
     Saturation,
     Scenario,
+    build_example,
     build_example1,
     build_example2,
     build_example3,
@@ -340,3 +342,38 @@ class TestDerivedColumns:
         u_cmd = trace.u_cmd.copy()
         trace.u_applied[:] = 123.0
         assert trace.u_cmd.tobytes() == u_cmd.tobytes()
+
+
+def comparable(value):
+    """A built part in comparable form: dataclasses field by field,
+    arrays by value, functions by their code (two lambdas made by one
+    expression compare equal)."""
+    if dataclasses.is_dataclass(value):
+        return [comparable(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return [comparable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return (value.dtype, value.shape, value.tolist())
+    return getattr(value, "__code__", value)
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("name, builder, count", [
+        ("ex1", build_example1, 1), ("ex2", build_example2, 1),
+        ("ex3", build_example3, 4)])
+    def test_build_example_returns_fresh_copies_of_its_builder(
+            self, name, builder, count):
+        plant, scenarios = build_example(name)
+        expected_plant, expected = builder()
+        expected = expected if name == "ex3" else [expected]
+        assert type(scenarios) is list and len(scenarios) == count
+        assert comparable(plant) == comparable(expected_plant)
+        assert [comparable(sc) for sc in scenarios] == [comparable(sc) for sc in expected]
+        again_plant, again = build_example(name)
+        assert again_plant is not plant
+        assert all(a is not b and a.x0 is not b.x0 for a, b in zip(again, scenarios))
+
+    def test_unknown_example_raises(self):
+        with pytest.raises(ValueError, match=r"unknown example 'ex4'; "
+                                             r"choose from \('ex1', 'ex2', 'ex3'\)"):
+            build_example("ex4")
