@@ -48,6 +48,7 @@ from .metrics import (
 from .numerics import (
     CareProblem,
     DivergenceDetected,
+    GridError,
     NoConvergence,
     NonFiniteState,
     NotStabilizable,

@@ -169,7 +169,9 @@ class Table1:
 
 
 def table1(dt: float = DEFAULT_DT) -> Table1:
-    """Run all 5 methods x 4 scenarios of the two-state example."""
+    """Run all 5 methods x 4 scenarios of ex3, once ``dt`` fits every grid."""
+    for sc in build_example("ex3")[1]:
+        sc.grid(dt)
     cells = {}
     for sc in SCENARIOS_EX3:
         for method in METHODS:

@@ -40,7 +40,7 @@ from .decomposition import (
     replay_observer,
 )
 from .metrics import report as evaluate
-from .numerics import DEFAULT_DT, step_count
+from .numerics import DEFAULT_DT, GridError, NonFiniteState
 from .plants import PlantModel, SimulationTrace, build_example, simulate
 
 EXIT_OK = 0
@@ -51,8 +51,8 @@ EXIT_DIVERGED = 3
 LEMMA_TOL = 1e-6
 OBSERVER_TOL = 1e-9
 
-# The JSON type of each config key's value.  A JSON number loads as int
-# or float; null, and bool (an int subclass), are refused.
+# The JSON type of each config key's value.  A number (int or float) is
+# kept as a float; null, and bool (an int subclass), are refused.
 _CONFIG_TYPES = {**dict.fromkeys(("example", "method", "scenario", "out"), "string"),
                  "dt": "number", "t_end": "number"}
 
@@ -114,19 +114,12 @@ def _load_config(path: Optional[str]) -> dict:
         kind = _CONFIG_TYPES[key]
         if type(value) not in ((str,) if kind == "string" else (int, float)):
             raise ConfigError(f"config {key!r} must be a {kind}, got {value!r}")
+        if kind == "number":
+            try:
+                cfg[key] = float(value)
+            except OverflowError as exc:  # an int beyond the float range
+                raise ConfigError(f"config {key!r}: {exc}") from None
     return cfg
-
-
-def _time_step(dt: Optional[float], horizons, delays=()) -> float:
-    """``dt`` (default DEFAULT_DT) once it divides every horizon and
-    every positive input delay."""
-    dt = DEFAULT_DT if dt is None else float(dt)
-    for span in [*horizons, *(d for d in delays if d > 0.0)]:
-        try:
-            step_count(0.0, span, dt)
-        except ValueError as exc:
-            raise ConfigError(f"invalid time grid: {exc}") from None
-    return dt
 
 
 def cmd_run(args) -> int:
@@ -137,21 +130,18 @@ def cmd_run(args) -> int:
     example, method = config.get("example"), config.get("method")
     if example is None or method is None:
         raise ConfigError("both --example and --method are required")
-    t_end = config.get("t_end")
-    t_end = None if t_end is None else float(t_end)
     out_dir = Path(config.get("out") or _default_out())
 
     setup = build_run(example, method, config.get("scenario"))
-    horizon = t_end if t_end is not None else setup.scenario.t_end
-    dt = _time_step(config.get("dt"), [horizon], [setup.scenario.input_delay])
-    trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt, t_end=t_end)
+    trace = simulate(setup.plant, setup.law, setup.scenario,
+                     config.get("dt", DEFAULT_DT), config.get("t_end"))
     rep = evaluate(trace)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
     scenario = setup.scenario.label if example == "ex3" else None
     meta = {"example": example, "method": method, "scenario": scenario,
-            "dt": dt, "t_end": float(trace.t[-1]) if len(trace) else None,
+            "dt": trace.dt, "t_end": float(trace.t[-1]) if len(trace) else None,
             "samples": len(trace)}
     (out_dir / "report.json").write_text(
         json.dumps({**meta, **rep.as_dict()}, indent=2, sort_keys=True) + "\n")
@@ -169,11 +159,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    scenarios = build_example("ex3")[1]
-    dt = _time_step(args.dt, [sc.t_end for sc in scenarios],
-                    [sc.input_delay for sc in scenarios])
     out_dir = Path(args.out or _default_out())
-    table = build_table1(dt=dt)
+    table = build_table1(dt=args.dt)
     rows = table.rows()
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,9 +176,11 @@ def cmd_table1(args) -> int:
 
 
 def cmd_lemma1_check(args) -> int:
-    # Horizons only: the sweep runs no input delay.
-    horizons = [sc.t_end for ex in EXAMPLES for sc in build_example(ex)[1]]
-    cases = exactness_suite(dt=_time_step(args.dt, horizons))
+    try:
+        cases = exactness_suite(dt=args.dt)
+    except NonFiniteState as exc:
+        print(f"exactness sweep stopped: {exc} (FAIL)")
+        return EXIT_CHECK_FAILED
     worst = 0.0
     for case in cases:
         print(f"{case.example} input {case.index:2d}: "
@@ -203,20 +192,17 @@ def cmd_lemma1_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-_OBSERVER_RUNS = ([("ex1", None), ("ex2", None)]
-                  + [("ex3", sc) for sc in SCENARIOS_EX3])
-
-
 def cmd_observer_check(args) -> int:
-    scenarios = [sc for ex in EXAMPLES for sc in build_example(ex)[1]]
-    dt = _time_step(args.dt, [sc.t_end for sc in scenarios],
-                    [sc.input_delay for sc in scenarios])
+    runs = [(ex, sc) for ex in EXAMPLES for sc in build_example(ex)[1]]
+    for _, sc in runs:
+        sc.grid(args.dt)  # every grid is checked before the first run
     ok = True
-    for example, sc in _OBSERVER_RUNS:
-        setup = build_run(example, "sclc", sc)
-        trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt)
+    for example, sc in runs:
+        scenario = sc.label if example == "ex3" else None
+        setup = build_run(example, "sclc", scenario)
+        trace = simulate(setup.plant, setup.law, setup.scenario, dt=args.dt)
         dev = replay_observer(setup.law.dec, trace)
-        label = example + (f"({sc})" if sc else "")
+        label = example + (f"({scenario})" if scenario else "")
         good = dev < OBSERVER_TOL
         ok = ok and good
         print(f"{label}: replay deviation {dev:.3e} "
@@ -256,18 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_tab = sub.add_parser("table1", help="regenerate the comparison table")
-    p_tab.add_argument("--dt", type=float)
+    p_tab.add_argument("--dt", type=float, default=DEFAULT_DT)
     p_tab.add_argument("--out")
     p_tab.set_defaults(func=cmd_table1)
 
     p_lem = sub.add_parser("lemma1-check",
                            help="decomposition exactness sweep")
-    p_lem.add_argument("--dt", type=float)
+    p_lem.add_argument("--dt", type=float, default=DEFAULT_DT)
     p_lem.set_defaults(func=cmd_lemma1_check)
 
     p_obs = sub.add_parser("observer-check",
                            help="observer replay + construction guards")
-    p_obs.add_argument("--dt", type=float)
+    p_obs.add_argument("--dt", type=float, default=DEFAULT_DT)
     p_obs.set_defaults(func=cmd_observer_check)
     return parser
 
@@ -277,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

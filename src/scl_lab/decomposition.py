@@ -377,7 +377,7 @@ def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
     rng = np.random.default_rng(seed)
     draws = {example: _draw_inputs(rng, n_inputs) for example in EXAMPLES}
     for example in EXAMPLES:
-        step_count(0.0, _exactness_example(example)[1].t_end, dt)
+        _exactness_example(example)[1].grid(dt)
     ctx = _fork_context()
     if ctx is None:
         deviations = {example: _exactness_deviation(example, draws[example], dt)

@@ -74,6 +74,10 @@ class NotStabilizable(RuntimeError):
     """No stabilizing feedback exists (or none was found) for the pair (A, B)."""
 
 
+class GridError(ValueError):
+    """The time step does not fit a run's span (see step_count)."""
+
+
 def as_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
@@ -151,18 +155,18 @@ def rk4_affine(A, dt: float) -> Tuple[np.ndarray, np.ndarray]:
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """Number of RK4 steps covering [t0, t_end]; dt must divide the span
-    in at most MAX_STEPS steps."""
+    in at most MAX_STEPS steps, else GridError."""
     if not t0 < t_end < math.inf:
-        raise ValueError("t_end must be finite and exceed t0")
+        raise GridError("invalid time grid: t_end must be finite and exceed t0")
     if not dt > 0.0:
-        raise ValueError("dt must be positive")
+        raise GridError("invalid time grid: dt must be positive")
     span = t_end - t0
     if not span / dt < MAX_STEPS + 0.5:
-        raise ValueError(f"dt={dt:g} takes {span / dt:.3g} steps over the span "
-                         f"{span:g}, more than MAX_STEPS={MAX_STEPS}")
+        raise GridError(f"invalid time grid: dt={dt:g} takes {span / dt:.3g} steps "
+                        f"over the span {span:g}, more than MAX_STEPS={MAX_STEPS}")
     n = int(round(span / dt))
     if n < 1 or abs(n * dt - span) > 1e-9:
-        raise ValueError(f"dt={dt:g} does not divide the span {span:g}")
+        raise GridError(f"invalid time grid: dt={dt:g} does not divide the span {span:g}")
     return n
 
 

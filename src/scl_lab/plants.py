@@ -114,6 +114,13 @@ class Scenario:
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
 
+    def grid(self, dt: float, t_end: Optional[float] = None) -> Tuple[int, int]:
+        """(steps, lag): ``dt`` steps over ``t_end`` (default the horizon)
+        and over the input delay; GridError unless dt divides both."""
+        steps = step_count(0.0, self.t_end if t_end is None else t_end, dt)
+        lag = step_count(0.0, self.input_delay, dt) if self.input_delay > 0.0 else 0
+        return steps, lag
+
     def disturbance(self, n: int) -> np.ndarray:
         if self.d is None:
             return np.zeros(n)
@@ -320,9 +327,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     The law receives the commanded input history only through its own
     internal state (an input delay is an unmodeled uncertainty).
     """
-    n_steps = step_count(0.0, t_end if t_end is not None else scenario.t_end, dt)
-    lag = (step_count(0.0, scenario.input_delay, dt)
-           if scenario.input_delay > 0.0 else 0)
+    n_steps, lag = scenario.grid(dt, t_end)
 
     n, m = plant.n, plant.m
     x = as_vector(scenario.x0, dim=n, name="x0").copy()

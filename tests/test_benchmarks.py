@@ -35,6 +35,7 @@ from scl_lab.controllers import (
 )
 from scl_lab.decomposition import CompositeLaw, make_decomposition
 from scl_lab.metrics import report
+from scl_lab.numerics import GridError
 from scl_lab.plants import build_example3, simulate
 from test_golden import TABLE1
 
@@ -165,6 +166,21 @@ def test_table1_cells_in_shuffled_order_match_the_pins():
         rep = report(simulate(setup.plant, setup.law, setup.scenario))
         got[key] = (rep.classification, repr(rep.iae), repr(rep.itae))
     assert got == TABLE1
+
+
+def test_table1_checks_every_grid_before_its_first_cell(monkeypatch):
+    # 0.0625 divides the 10 s horizons but not (iv)'s 0.2 s delay, so
+    # no cell may run: not (i)-(iii), whose grids it fits.
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return None, None
+
+    monkeypatch.setattr(benchmarks, "run", counting_run)
+    with pytest.raises(GridError, match="does not divide the span 0.2$"):
+        benchmarks.table1(dt=0.0625)
+    assert calls == []
 
 
 @pytest.mark.parametrize("method", ["flc", "rflc"])

@@ -1,23 +1,35 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
+import string
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scl_lab import cli
-from scl_lab.benchmarks import _REJECTIONS, build_run
+from scl_lab.benchmarks import (
+    _REJECTIONS,
+    EXAMPLES,
+    METHODS,
+    SCENARIOS_EX3,
+    build_run,
+)
 from scl_lab.cli import main, write_trace_csv
 from scl_lab.controllers import ControlLaw, ZeroLaw
-from scl_lab.plants import PlantModel, SimulationTrace
+from scl_lab.numerics import DEFAULT_DT, step_count
+from scl_lab.plants import PlantModel, SimulationTrace, build_example
 
 
 def read_rows(path):
@@ -170,6 +182,14 @@ class TestRunCommand:
                 assert "must be a number" in capsys.readouterr().err
         assert not (tmp_path / "cfg").exists()
 
+    @pytest.mark.parametrize("key", ["t_end", "dt"])
+    def test_config_integer_beyond_the_float_range_exits_2(
+            self, tmp_path, capsys, key):
+        code, err = refused_with(tmp_path, capsys, [],
+                                 {"example": "ex3", "method": "jlc", key: 10**400})
+        assert code == 2
+        assert err == f"error: config {key!r}: int too large to convert to float\n"
+
     def test_rejected_combinations_exit_2(self, tmp_path, capsys):
         # Every rejected (example, method) pair, and unknown names given
         # by flag (argparse) or by config file.
@@ -300,6 +320,112 @@ class TestRunCommand:
         assert (tmp_path / "envout" / "trace.csv").exists()
 
 
+# The run command's input surface.  Every name is ASCII letters, so a
+# drawn output directory stays inside the case's working directory.
+_NAMES = st.text(st.sampled_from(string.ascii_letters), min_size=1, max_size=6)
+# Steps and spans that make valid grids of a few steps, and numbers that
+# are huge, tiny, negative or non-finite.
+_STEPS = st.sampled_from([1e-3, 0.01, 0.05, 0.5, 1.0, 2.5])
+_SPANS = st.sampled_from([0.01, 0.05, 0.5, 1.0, 2.5, 5.0])
+_NUMBERS = st.integers() | st.floats() | st.just(10**400) | _STEPS | _SPANS
+_WORDS = st.sampled_from([*EXAMPLES, *METHODS, *SCENARIOS_EX3, "", "ex9", "pid"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | _NAMES | _WORDS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_NAMES, inner, max_size=3),
+    max_leaves=6)
+_FLAG_TEXT = (_NUMBERS.map(str) | _NAMES | _WORDS
+              | st.sampled_from(["nan", "inf", "-inf", "-1", "1e400", "0"]))
+_FLAG = {"example": "--example", "method": "--method", "scenario": "--scenario",
+         "dt": "--dt", "t_end": "--t-end", "out": "--out"}
+_CELLS = [(ex, m, sc) for ex in EXAMPLES for m in METHODS if (ex, m) not in _REJECTIONS
+          for sc in (SCENARIOS_EX3 if ex == "ex3" else [None])]
+
+
+@st.composite
+def _run_inputs(draw):
+    """(config, flags) of one ``run``: a valid cell on a grid of a few
+    steps, each setting given in the config, by flag, by both or not at
+    all; then up to three faults, each a config value of any JSON type,
+    a junk config key, or a flag of the vocabulary with any value."""
+    example, method, scenario = draw(st.sampled_from(_CELLS))
+    valid = {"example": example, "method": method, "scenario": scenario,
+             "dt": draw(_STEPS), "t_end": draw(_SPANS), "out": draw(_NAMES)}
+    config, flags = {}, []
+    for key, value in valid.items():
+        where = draw(st.sampled_from(["config", "flag", "both"] * 2 + ["neither"]))
+        if value is not None and where in ("config", "both"):
+            config[key] = value
+        if value is not None and where in ("flag", "both"):
+            flags += [_FLAG[key], str(value)]
+    for fault in draw(st.lists(st.sampled_from([*_FLAG, "junk", "flag"]), max_size=3)):
+        if fault == "flag":
+            flags += [draw(st.sampled_from(list(_FLAG.values()))), draw(_FLAG_TEXT)]
+        else:
+            config[draw(_NAMES) if fault == "junk" else fault] = draw(_JSON)
+    return config, flags
+
+
+_HORIZONS = [sc.t_end for ex in EXAMPLES for sc in build_example(ex)[1]]
+
+
+def _most_steps(config, flags):
+    """The most steps the drawn run could take, 0 if its grid is invalid:
+    a flag beats the config value, which beats the default."""
+    def last(flag, default):
+        values = [flags[i + 1] for i in range(0, len(flags), 2) if flags[i] == flag]
+        return values[-1] if values else default
+
+    dt = last("--dt", config.get("dt", DEFAULT_DT))
+    t_end = last("--t-end", config.get("t_end"))
+
+    def steps(span):
+        try:
+            return step_count(0.0, float(span), float(dt))
+        except (TypeError, ValueError, OverflowError):
+            return 0
+
+    return max(steps(span) for span in (_HORIZONS if t_end is None else [t_end]))
+
+
+@contextlib.contextmanager
+def _working_directory(path):
+    """contextlib.chdir, which Python 3.10 lacks."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+class TestRunInputSurface:
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_run_inputs())
+    @example(inputs=({"example": "ex3", "method": "jlc", "t_end": 10**400}, []))
+    @example(inputs=({"example": "ex3", "method": "jlc", "dt": 10**400}, []))
+    def test_run_exits_0_2_or_3_and_a_refusal_writes_nothing(self, inputs):
+        config, flags = inputs
+        # Cheap cases only: a valid grid of at most 50 steps.
+        assume(_most_steps(config, flags) <= 50)
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "run.json").write_text(json.dumps(config))
+            err = io.StringIO()
+            with _working_directory(tmp), \
+                    mock.patch.dict(os.environ, {"SCL_LAB_OUT": "default"}), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(["run", "--config", "run.json", *flags])
+                except SystemExit as exc:  # argparse refuses the flags
+                    code = exc.code
+            assert code in (0, 2, 3)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert sum("error:" in line for line in lines) == 1, lines
+                assert os.listdir(tmp) == ["run.json"]
+
+
 class TestTableCommand:
     def test_table_shape(self, tmp_path):
         # Coarse step keeps this a smoke test of the command path.
@@ -333,6 +459,16 @@ class TestCheckCommands:
         assert main(["observer-check", "--dt", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "non-Hurwitz A1 rejected: OK" in out
+
+    @pytest.mark.parametrize("dt", ["1.25", "1.0"])
+    def test_lemma_check_reports_a_non_finite_sweep_as_failed(self, capsys, dt):
+        # Each step divides every horizon, and ex3's RK4 update goes
+        # non-finite in the caller while the ex2 share runs in the forked
+        # worker; the report is a failed check and the worker is gone.
+        assert main(["lemma1-check", "--dt", dt]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1 and "non-finite RK4 update" in out
+        assert multiprocessing.active_children() == []
 
     def test_check_commands_reject_invalid_dt(self, capsys):
         for command in ("lemma1-check", "observer-check"):

@@ -12,6 +12,7 @@ from scl_lab.numerics import (
     MAX_STEPS,
     CareProblem,
     DivergenceDetected,
+    GridError,
     NonFiniteState,
     NotStabilizable,
     care_residual,
@@ -148,6 +149,18 @@ class TestStepCount:
     def test_rejects_more_than_max_steps(self, t_end, dt):
         with pytest.raises(ValueError, match=f"more than MAX_STEPS={MAX_STEPS}"):
             step_count(0.0, t_end, dt)
+
+    @pytest.mark.parametrize("t_end,dt,problem", [
+        (-1.0, 1e-3, "t_end must be finite and exceed t0"),
+        (1.0, 0.0, "dt must be positive"),
+        (1e300, 1e-3, "dt=0.001 takes 1e+303 steps over the span 1e+300, "
+                      f"more than MAX_STEPS={MAX_STEPS}"),
+        (1.0, 0.3, "dt=0.3 does not divide the span 1")])
+    def test_each_refusal_is_a_grid_error(self, t_end, dt, problem):
+        with pytest.raises(GridError) as info:
+            step_count(0.0, t_end, dt)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == f"invalid time grid: {problem}"
 
 
 class TestJacobianFd:

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scl_lab.benchmarks import build_run
 from scl_lab.controllers import ControlLaw, ZeroLaw
 from scl_lab.metrics import report
-from scl_lab.numerics import eigenvalues, is_hurwitz
+from scl_lab.numerics import GridError, eigenvalues, is_hurwitz
 from scl_lab.plants import (
     EX2_A,
     EX2_B,
@@ -213,6 +213,16 @@ class TestScenario:
         kwargs = {"x0": np.zeros(2), field: np.array(value)}
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             Scenario(label="bad", t_end=1.0, **kwargs)
+
+
+    def test_grid_counts_the_horizon_and_delay_steps(self):
+        sc = Scenario(label="d", x0=np.zeros(2), t_end=10.0, input_delay=0.2)
+        assert sc.grid(1e-3) == (10000, 200)
+        assert sc.grid(1e-3, t_end=1.0) == (1000, 200)
+        assert dataclasses.replace(sc, input_delay=0.0).grid(0.0625) == (160, 0)
+        # 0.0625 divides the horizon but not the delay.
+        with pytest.raises(GridError, match="does not divide the span 0.2$"):
+            sc.grid(0.0625)
 
 
 class TestHarness:
