@@ -1,14 +1,7 @@
-"""Benchmark wiring: the three example problems, the five control
-pipelines, and regeneration of the comparison table.
-
-Gains are fixed here, once, for every pipeline:
-
-* PID for the scalar bilinear example: (0.66, 1.33, -0.02).
-* PID for the saturated NMP example: (-0.5, -1.3, 0).
-* LQR weights Q = diag(10, 10), R = 1; each method solves its own
-  Riccati problem on its own linearized model.
-* Backstepping a = c = 10, observer bandwidth w0 = 2, input-gain
-  estimate b = 2 (the value of 1 + cos x2 at the origin).
+"""Benchmark wiring: the five control pipelines, with every gain fixed
+once here, and regeneration of the comparison table.  Each LQR design
+solves its own Riccati problem, on its own linearized model, with the
+shared weights LQR_Q and LQR_R.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ LQR_Q = np.diag([10.0, 10.0])
 LQR_R = np.array([[1.0]])
 BACKSTEPPING = BacksteppingParams(a=10.0, c=10.0)
 ADRC_OMEGA0 = 2.0
-ADRC_B = 2.0
+ADRC_B = 2.0  # 1 + cos x2 at the origin
 
 # Design models for the methods that do not linearize about the origin
 # Jacobians: exact linearization yields a double integrator, and the
@@ -140,11 +133,10 @@ def build_run(example: str, method: str,
 
 
 def run(example: str, method: str, scenario: Optional[str] = None,
-        dt: float = DEFAULT_DT,
-        t_end: Optional[float] = None) -> Tuple[SimulationTrace, PerformanceReport]:
-    """Simulate one benchmark cell and evaluate it."""
+        dt: float = DEFAULT_DT) -> Tuple[SimulationTrace, PerformanceReport]:
+    """Simulate one benchmark cell over its horizon and evaluate it."""
     setup = build_run(example, method, scenario)
-    trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt, t_end=t_end)
+    trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt)
     return trace, report(trace)
 
 

@@ -1,15 +1,6 @@
-"""Command-line front end for the benchmark suite.
-
-Subcommands:
-
-* ``run``            one example/method/scenario cell -> trace.csv,
-                     report.json, plot.svg
-* ``table1``         the full 5-method x 4-scenario comparison table
-* ``lemma1-check``   decomposition exactness over randomized inputs
-* ``observer-check`` remainder-observer replay on every composite run
-
-Exit codes: 0 ok, 1 check failure, 2 configuration error, 3 divergence.
-The default output directory is ``./out`` or ``$SCL_LAB_OUT``.
+"""Command-line front end for the benchmark suite: the ``run``,
+``table1``, ``lemma1-check`` and ``observer-check`` subcommands and the
+exit codes (``EXIT_*``) that the README's CLI section describes.
 """
 
 from __future__ import annotations
@@ -58,7 +49,7 @@ _CONFIG_TYPES = {**dict.fromkeys(("example", "method", "scenario", "out"), "stri
 
 
 def _default_out() -> str:
-    return os.environ.get("SCL_LAB_OUT", "out")
+    return os.environ.get("SCL_LAB_OUT") or "out"
 
 
 def write_trace_csv(trace: SimulationTrace, path: Path):

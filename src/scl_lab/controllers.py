@@ -51,11 +51,12 @@ class SingularInput(RuntimeError):
 class ControlLaw:
     """Uniform controller interface: measured state in, input vector out.
 
-    A ``stage_feedback`` law has the harness evaluate ``control_clamped``
-    at every RK4 stage state (the continuous closed loop) instead of
-    holding the sampled command over the step.  ``reset()`` returns a law
-    to its initial state and zeroes ``singular_count`` and
-    ``near_singular_count``; the harness resets a law before each run.
+    A ``stage_feedback`` law defines ``control_clamped(x)``, which the
+    harness evaluates at every RK4 stage state (the continuous closed
+    loop) instead of holding the sampled command over the step.
+    ``reset()`` returns a law to its initial state and zeroes
+    ``singular_count`` and ``near_singular_count``; the harness resets a
+    law before each run.
 
     ``channels(u)`` splits the command ``u`` just returned by ``step``
     into ``(u_p, u_s, xhat_s)``: the primary input, the secondary input
@@ -71,10 +72,6 @@ class ControlLaw:
 
     def step(self, x, ref, t, dt) -> np.ndarray:
         raise NotImplementedError
-
-    def control_clamped(self, x) -> np.ndarray:
-        """Stage feedback ``control(x)``; guarded laws clamp instead of raising."""
-        return self.control(x)
 
     def reset(self):
         pass
@@ -146,6 +143,8 @@ class LqrLaw(ControlLaw):
     def control(self, x):
         return -self.K @ x
 
+    control_clamped = control
+
     def step(self, x, ref, t, dt):
         return self.control(x)
 
@@ -205,17 +204,12 @@ class BacksteppingSecondary:
 
 
 class _SingularGuardLaw(ControlLaw):
-    """Shared machinery for laws with a 1/(1 + cos x2) input transform.
-
-    ``control`` raises SingularInput inside the hard guard band;
-    ``control_clamped`` (used by the simulation loop and by stage
-    evaluation) instead floors the denominator at the guard and counts
-    the event, keeping the emitted input finite so a run can record the
-    (usually divergence-bound) aftermath.  ``control`` checks its
-    argument; ``control_clamped`` takes the (2,) float state the harness
-    or its RK4 stages built, unchecked.  These laws default to stage
-    feedback: the continuous closed loop is what resolves a singular
-    crossing without step-size artifacts.
+    """Shared guard of the laws with a 1/(1 + cos x2) input transform
+    (README, simulation conventions).  ``control`` checks its argument
+    and raises SingularInput inside the hard band; ``control_clamped``,
+    which ``step`` and the RK4 stages call on the (2,) float state the
+    harness built, floors the denominator there instead, so a run can
+    record the aftermath.
     """
 
     stage_feedback = True
@@ -231,26 +225,23 @@ class _SingularGuardLaw(ControlLaw):
     def _u(self, x, denominator):
         raise NotImplementedError
 
-    def _den(self, x) -> float:
+    def _guarded(self, x, clamp: bool) -> np.ndarray:
+        # The hard band lies inside the near-singular one, and counts in both.
         den = 1.0 + math.cos(x[1])
         if abs(den) < NEAR_SINGULAR:
             self.near_singular_count += 1
-        return den
+            if abs(den) < SINGULAR_GUARD:
+                self.singular_count += 1
+                if not clamp:
+                    raise SingularInput(x[1], den)
+                den = SINGULAR_GUARD
+        return self._u(x, den)
 
     def control(self, x) -> np.ndarray:
-        x = as_vector(x, dim=2)
-        den = self._den(x)
-        if abs(den) < SINGULAR_GUARD:
-            self.singular_count += 1
-            raise SingularInput(x[1], den)
-        return self._u(x, den)
+        return self._guarded(as_vector(x, dim=2), clamp=False)
 
     def control_clamped(self, x) -> np.ndarray:
-        den = self._den(x)
-        if abs(den) < SINGULAR_GUARD:
-            self.singular_count += 1
-            den = SINGULAR_GUARD
-        return self._u(x, den)
+        return self._guarded(x, clamp=True)
 
     def step(self, x, ref, t, dt):
         return self.control_clamped(x)
@@ -300,14 +291,14 @@ class AdrcLaw(ControlLaw):
 
     The observer gains are pinned at (3 w0, 3 w0^2, w0^3), so the LESO
     rate is ``leso_error_matrix(w0) @ xhat + c`` with
-    ``c = (3 w0 y, 3 w0^2 y + b u, w0^3 y)``.  The LESO is advanced one
-    RK4 step per control step, in the closed form ``rk4_affine``, with
-    the previous sample's (y, u), and so ``c``, held constant; the loop
-    stays causal.  Its output channel is initialized at the first
-    measurement to skip the artificial output-estimation transient.
-    The nominal feedback u0 acts on the measured states (the
-    lumped-disturbance channel x3_hat is what the observer contributes),
-    so the law engages at full authority from the first sample.
+    ``c = (3 w0 y, 3 w0^2 y + b u, w0^3 y)``.  Each control step takes
+    one RK4 step (README, simulation conventions) on the previous
+    sample's (y, u), held constant, so the loop stays causal.  The
+    output channel starts at the first measurement, which skips the
+    artificial output-estimation transient.  The nominal feedback u0
+    acts on the measured states (the lumped-disturbance channel x3_hat
+    is what the observer contributes), so the law engages at full
+    authority from the first sample.
     """
 
     name = "adrc"

@@ -1,29 +1,8 @@
 """Additive decomposition of a nonlinear plant into a linear primary part
-and an exact nonlinear remainder, plus the open-loop observer that
-recovers both parts from measured signals and the composite two-channel
-control law built on top of them.
-
-The construction: pick (A1, B1) for the primary system
-
-    xp' = A1 xp + B1 up + d,        xp(0) = x0,
-
-and the remainder (secondary) system is whatever is left,
-
-    xs' = f(x, u) - A1 xp - B1 up,  xs(0) = 0,
-
-so x = xp + xs holds identically.  Written in terms of measurable
-signals only, the secondary dynamics become
-
-    xs' = f(x, u) + A1 (xs - x) + B1 (us - u),
-
-which is exactly the observer ODE: integrating it from zero initial
-state reproduces xs, and xp = x - xs follows algebraically.  A1 must be
-Hurwitz for the open-loop observer to be usable.
-
-A Decomposition is the model only, with no run state: ``advance`` maps
-one remainder estimate to the next.  The estimate belongs to whoever
-integrates it, the composite law during a run or ``replay_observer``
-afterwards, so one model can back any number of laws and replays.
+and an exact nonlinear remainder, the open-loop observer that recovers
+both from measured signals, and the composite two-channel law built on
+them.  The README's "The decomposition in one page" derives the split;
+its simulation conventions say where the remainder estimate lives.
 """
 
 from __future__ import annotations
@@ -46,7 +25,7 @@ from .numerics import (
     rk4_step,
     step_count,
 )
-from .plants import EXAMPLES, PlantModel, Scenario, _ex1_field, build_example
+from .plants import EXAMPLES, PlantModel, Scenario, build_example, build_example1
 
 
 class UnstableA1(RuntimeError):
@@ -67,11 +46,10 @@ class NonDifferentiable(RuntimeError):
 class Decomposition:
     """The (A1, B1, model field) model of the additive split; no run state.
 
-    ``model_field(t, x, u)`` is the disturbance-free plant model with any
-    known saturation block applied; the observer never sees the
-    disturbance or an unmodeled input delay.  ``remainder_field`` is an
-    optional hand-derived form of the secondary dynamics used by the
-    exactness harness (see decomposition_deviation).
+    ``model_field(t, x, u)`` is what the observer knows of the plant (see
+    PlantModel.nominal_field).  ``remainder_field`` is an optional
+    hand-derived form of the secondary dynamics that
+    decomposition_deviation certifies.
     """
 
     A1: np.ndarray
@@ -87,12 +65,10 @@ class Decomposition:
 
     def advance(self, xhat_s, x, u, u_s, dt: float) -> np.ndarray:
         """The remainder estimate one RK4 step after ``xhat_s``, with
-        (x, u, u_s) held constant.  Pure: the caller keeps the estimate
-        and passes (n,)/(m,) float arrays, or a batch of rows (B, n)/
-        (B, m) whose results have, row for row, the bits of the single
-        calls (the model field must keep its rows apart the same way).
-        A non-finite update raises NonFiniteState at t=0, since the
-        model has no clock; callers re-raise it at the step time."""
+        (x, u, u_s) held constant; pure, and batched row for row (README,
+        simulation conventions).  A non-finite update raises
+        NonFiniteState at t=0, since the model has no clock; callers
+        re-raise it at the step time."""
         drive = (self.model_field(0.0, x, u) - matvec(self.A1, x)
                  + matvec(self.B1, u_s - u))
         return rk4_step(lambda _t, xs: matvec(self.A1, xs) + drive, 0.0, xhat_s, dt)
@@ -125,9 +101,10 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
 
     The origin Jacobian has a zero input matrix (d(xu)/du = x = 0), so
     the primary input gain is taken as the reference value instead:
-    A1 = [-4], B1 = [y_d].  The remainder then carries the bilinear
-    term exactly: xs' = -4 xs + x u - y_d u (+ y_d u_s for a general
-    input split; the benchmark uses u_p = u).
+    A1 = [-4], the catalogue plant's Jacobian, and B1 = [y_d].  The
+    remainder then carries the bilinear term exactly:
+    xs' = -4 xs + x u - y_d u (+ y_d u_s for a general input split; the
+    benchmark uses u_p = u).
     """
     gain = float(y_d)
     if not np.isfinite(gain):
@@ -135,13 +112,16 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
     if gain == 0.0:
         raise ZeroReferenceGain("y_d = 0 gives B1 = 0; primary loop uncontrollable")
 
+    plant = build_example1()[0]
+    A1 = plant.analytic_jacobian[0]
+    a = A1[0, 0]
+
     def remainder(t, x, xs, u, u_s):
         uv = u[..., 0]
-        return (-4.0 * xs[..., 0] + x[..., 0] * uv - gain * uv
+        return (a * xs[..., 0] + x[..., 0] * uv - gain * uv
                 + gain * u_s[..., 0])[..., None]
 
-    return Decomposition(np.array([[-4.0]]), np.array([[gain]]),
-                         lambda t, x, u: _ex1_field(t, x, u, 0.0), 1, 1,
+    return Decomposition(A1, np.array([[gain]]), plant.nominal_field, 1, 1,
                          remainder_field=remainder)
 
 
@@ -158,14 +138,11 @@ class CompositeLaw(ControlLaw):
 
     The law owns the run's remainder estimate ``xhat_s`` (zero after
     ``reset``); ``dec`` is only the model it integrates.  The secondary
-    law provides ``u_s(x, xhat_s)`` and ``reset()``; it defaults to
-    ``ZeroLaw(m)``, a zero secondary channel.  The emitted input is
-    exactly u_p + u_s.  The estimate is advanced at the start of each
-    step using the previous step's (x, u, u_s) held constant, keeping
-    the loop causal; the laws then act on estimates current at the step
-    time.  ``step`` takes the (n,) float state the harness passes, and
-    both channel laws return (m,) float arrays; the harness checks the
-    emitted sum.
+    provides ``u_s(x, xhat_s)`` and ``reset()``, and defaults to
+    ``ZeroLaw(m)``.  The emitted input is exactly u_p + u_s.  Each step
+    first advances the estimate on the previous step's (x, u, u_s), so
+    the loop stays causal.  ``step`` takes the (n,) float state the
+    harness passes, unchecked; the harness checks the emitted sum.
     """
 
     name = "sclc"
@@ -208,15 +185,10 @@ REPLAY_CHUNK = 4096
 
 def replay_observer(dec: Decomposition, trace) -> float:
     """Re-integrate the observer ODE from zero on the recorded (x, u, u_s)
-    signals and return max_k |xhat_s(replay) - xhat_s(trace)|_inf (0.0
-    for an empty trace); anything above arithmetic noise means the trace
-    does not record what the observer consumed.
-
-    The deviation d_k = replay_k - xhat_s[k] obeys d_{k+1} = T d_k + r_k,
-    with the residuals r_k from batched ``advance`` calls; the README's
-    ``observer-check`` entry explains why a faithful trace replays to
-    exactly 0.0.  A non-finite update raises NonFiniteState at its step
-    time.
+    signals and return max_k |xhat_s(replay) - xhat_s(trace)|_inf.  The
+    README's ``observer-check`` entry explains the batched replay and why
+    a faithful trace replays to exactly 0.0.  A non-finite update raises
+    NonFiniteState at its step time.
     """
     widths = (trace.xhat_s.shape[1], trace.u_s.shape[1])
     if widths != (dec.n, dec.m):
@@ -260,20 +232,14 @@ def _raise_first_nonfinite(dec, signals, start, dt):
 
 def decomposition_deviation(dec: Decomposition, inputs, d, x0,
                             t_end: float, dt: float) -> np.ndarray:
-    """Worst deviation |x - (xp + xs)|_inf per lane when the original,
-    primary and secondary systems are co-integrated under a shared input
-    split.
-
-    All three systems advance inside one RK4 state so the deviation is
-    free of raw integration error; it measures whether the secondary
-    dynamics really are the original system minus the (A1, B1) primary.
-    With a hand-derived ``remainder_field`` this certifies that
-    derivation term by term; without one the generic form
-    f - A1 xp - B1 up is used.  ``x0`` is one state (n,) or a batch of
-    lanes (B, n); ``inputs(t)`` returns the input and its primary part
-    ``(u, u_p)`` as (B, m) arrays, and is evaluated once per stage time
-    (the two midpoint stages share theirs).  The disturbance ``d`` (n,)
-    enters the original and primary systems only.
+    """Worst deviation |x - (xp + xs)|_inf per lane of the original,
+    primary and secondary systems co-integrated in one RK4 state under a
+    shared input split, so the deviation is free of integration error.
+    It certifies ``remainder_field`` when there is one (README,
+    ``lemma1-check``), else the generic f - A1 xp - B1 up.  ``x0`` is one
+    state (n,) or lanes (B, n); ``inputs(t)`` returns ``(u, u_p)`` as
+    (B, m) arrays, once per stage time (the midpoint stages share one).
+    The disturbance ``d`` (n,) enters the original and primary systems.
     """
     x0 = as_matrix(np.atleast_2d(x0), cols=dec.n, name="x0")
     d = as_vector(d, dim=dec.n, name="d")
@@ -298,10 +264,13 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
 
     z = np.concatenate((x0, x0, np.zeros_like(x0)), axis=-1)
     worst = np.zeros(batch)
-    for k in range(step_count(0.0, t_end, dt)):
-        z = rk4_step(combined_rate, k * dt, z, dt)
-        defect = np.abs(z[..., :n] - z[..., n:2 * n] - z[..., 2 * n:]).max(axis=-1)
-        worst = np.maximum(worst, defect)
+    # A diverging lane overflows before rk4_step's NonFiniteState stops
+    # the sweep; that error is the report, so numpy's warnings are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(step_count(0.0, t_end, dt)):
+            z = rk4_step(combined_rate, k * dt, z, dt)
+            defect = np.abs(z[..., :n] - z[..., n:2 * n] - z[..., 2 * n:]).max(axis=-1)
+            worst = np.maximum(worst, defect)
     return worst
 
 
@@ -364,15 +333,11 @@ def _fork_context():
 
 def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
                     seed: int = 20240811) -> List[ExactnessCase]:
-    """Decomposition-exactness sweep over all example plants.
-
-    For each example, runs ``n_inputs`` randomized bounded input signals
-    (with a randomized primary/secondary input split) over the full
-    benchmark horizon and reports the worst x - (xp + xs) defect per
-    case.  Deterministic for a fixed seed: every input is drawn up front,
-    and with 2 or more usable CPUs the ex2 sweep runs in a forked worker
-    while the caller runs ex1 and ex3, with the bits of a serial run
-    (the README's simulation conventions say how the worker behaves).
+    """Decomposition-exactness sweep over all example plants: the worst
+    x - (xp + xs) defect of ``n_inputs`` random bounded inputs, each with
+    a random primary/secondary split, per example over its horizon.
+    Deterministic for a fixed seed; the README's simulation conventions
+    say how the ex2 share may run in a forked worker.
     """
     rng = np.random.default_rng(seed)
     draws = {example: _draw_inputs(rng, n_inputs) for example in EXAMPLES}

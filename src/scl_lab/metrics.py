@@ -26,22 +26,20 @@ def tracking_error(trace: SimulationTrace) -> np.ndarray:
     return trace.y_d - trace.y[:, 0]
 
 
-def _trapezoid(w: np.ndarray, t: np.ndarray) -> float:
-    return float(0.5 * np.sum((w[1:] + w[:-1]) * np.diff(t)))
+def _trapezoid(index: str, w: np.ndarray, trace: SimulationTrace) -> float:
+    if trace.diverged:
+        raise DivergentTrace(f"{index} undefined: trace diverged")
+    return float(0.5 * np.sum((w[1:] + w[:-1]) * np.diff(trace.t)))
 
 
 def iae(trace: SimulationTrace) -> float:
     """Integral of the absolute error over the trace (trapezoidal)."""
-    if trace.diverged:
-        raise DivergentTrace("IAE undefined: trace diverged")
-    return _trapezoid(np.abs(tracking_error(trace)), trace.t)
+    return _trapezoid("IAE", np.abs(tracking_error(trace)), trace)
 
 
 def itae(trace: SimulationTrace) -> float:
     """Integral of time-weighted absolute error over the trace."""
-    if trace.diverged:
-        raise DivergentTrace("ITAE undefined: trace diverged")
-    return _trapezoid(trace.t * np.abs(tracking_error(trace)), trace.t)
+    return _trapezoid("ITAE", trace.t * np.abs(tracking_error(trace)), trace)
 
 
 def saturation_interval(trace: SimulationTrace) -> Optional[Tuple[float, float]]:
@@ -97,20 +95,13 @@ class PerformanceReport:
 
 def report(trace: SimulationTrace) -> PerformanceReport:
     """Assemble the performance report for one trace."""
-    label = classify(trace)
     stable = not trace.diverged
-    if stable:
-        run_iae = iae(trace)
-        run_itae = itae(trace)
-    else:
-        run_iae = None
-        run_itae = None
     return PerformanceReport(
-        classification=label,
+        classification=classify(trace),
         stable=stable,
         singular=trace.singular_events > 0,
-        iae=run_iae,
-        itae=run_itae,
+        iae=iae(trace) if stable else None,
+        itae=itae(trace) if stable else None,
         saturation_interval=saturation_interval(trace),
         final_state_norm=(float(np.max(np.abs(trace.x[-1])))
                           if len(trace) else None),

@@ -194,33 +194,27 @@ def integrate(f: Callable, x0, t0: float, t_end: float,
 def jacobian_fd(f: Callable, x0, u0) -> Tuple[np.ndarray, np.ndarray]:
     """Central-difference Jacobians (A, B) of f(x, u) at (x0, u0).
 
-    A[i, j] = (f_i(x0 + h e_j, u0) - f_i(x0 - h e_j, u0)) / (2 h) with
-    h = FD_STEP, and the analogous expression over u for B.  Exact for
-    affine fields up to round-off.
+    Column j of ``[A, B]`` is (f(z0 + h e_j) - f(z0 - h e_j)) / (2 h) over
+    the stacked point z0 = (x0, u0), with h = FD_STEP.  Exact for affine
+    fields up to round-off.  A and B come back contiguous, the layout of a
+    written-out matrix, so ``matvec`` multiplies them the same way.
     """
-    h = FD_STEP
     x0 = as_vector(x0, name="x0")
-    u0 = as_vector(u0, name="u0")
-    n = x0.shape[0]
-    m = u0.shape[0]
+    z0 = np.concatenate((x0, as_vector(u0, name="u0")))
+    n, k = x0.shape[0], z0.shape[0]
 
-    def probe(x, u):
-        val = np.asarray(f(x, u), dtype=float)
+    def probe(z):
+        val = np.asarray(f(z[:n], z[n:]), dtype=float)
         if not np.all(np.isfinite(val)):
             raise NonFiniteState(0.0, "finite-difference probe")
         return val
 
-    A = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        A[:, j] = (probe(x0 + e, u0) - probe(x0 - e, u0)) / (2.0 * h)
-    B = np.empty((n, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        B[:, j] = (probe(x0, u0 + e) - probe(x0, u0 - e)) / (2.0 * h)
-    return A, B
+    J = np.empty((n, k))
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = FD_STEP
+        J[:, j] = (probe(z0 + e) - probe(z0 - e)) / (2.0 * FD_STEP)
+    return np.ascontiguousarray(J[:, :n]), np.ascontiguousarray(J[:, n:])
 
 
 def _roots_quadratic(c1: float, c0: float) -> np.ndarray:

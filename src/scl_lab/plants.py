@@ -54,22 +54,12 @@ class PlantModel:
     """Nonlinear plant x' = field(t, x, u_eff, d), y = output(x).
 
     ``field`` and ``output`` take one state ``(n,)`` or a batch
-    ``(B, n)``; the harness calls ``output`` once on every recorded
-    state, which must give ``(B, p)``.  Row k of a batched ``field``
-    call should have the bits of the single call on row k (multiply
-    through ``numerics.matvec``, not a batched ``x @ A.T``):
-    ``replay_observer`` batches the observer steps a run made one at a
-    time, and reports exactly 0.0 on a faithful trace only then.  A
-    field that rounds its batch differently replays to rounding noise.
-
-    ``field`` receives the effective input, i.e. after any saturation
-    block; the simulation harness applies ``saturation`` (and any
-    scenario delay) to the commanded input first.  ``analytic_jacobian``
-    holds the exact (A, B) of the field at the origin when available.
-    ``remainder_field(t, x, xs, u, u_s)`` optionally carries the
-    hand-derived dynamics of the nonlinear remainder; the
-    decomposition-exactness harness integrates it against the generic
-    construction, which is what certifies the hand derivation.
+    ``(B, n)``, row for row (README, simulation conventions); a field
+    that rounds its batch differently replays to rounding noise, not
+    0.0.  ``field`` receives the input after ``saturation`` and any
+    scenario delay.  ``analytic_jacobian`` is the exact (A, B) at the
+    origin, when known; ``remainder_field(t, x, xs, u, u_s)`` is the
+    hand-derived remainder that ``lemma1-check`` certifies.
     """
 
     name: str
@@ -136,13 +126,9 @@ class Scenario:
 
 @dataclass
 class SimulationTrace:
-    """Uniform-grid record of one closed-loop run.
-
-    ``u_p``, ``u_s`` and ``xhat_s`` are what the law's ``channels``
-    reported each step; ``xhat_p`` is ``x - xhat_s`` by construction.
-    For plain state-feedback methods the columns degenerate to
-    ``u_p = u_cmd``, ``u_s = 0``, ``xhat_p = x`` and ``xhat_s = 0``.
-    """
+    """Uniform-grid record of one closed-loop run; ``u_p``, ``u_s`` and
+    ``xhat_s`` are what the law's ``channels`` reported each step, and
+    the README's simulation conventions list the derived columns."""
 
     t: np.ndarray
     x: np.ndarray
@@ -311,17 +297,9 @@ def build_example(name: str) -> Tuple[PlantModel, List[Scenario]]:
 
 def simulate(plant: PlantModel, law, scenario: Scenario,
              dt: float = DEFAULT_DT, t_end: Optional[float] = None) -> SimulationTrace:
-    """Run one closed-loop simulation on a uniform grid.
-
-    Per step: evaluate the control law on the measured state, apply the
-    command recorded ``delay / dt`` steps earlier (zero before that)
-    through the optional saturation, hold it over one RK4 step of the
-    plant, and record the state, the command, the law's channels and the
-    reference.  A ``stage_feedback`` law in a delay-free run is evaluated
-    at every RK4 stage state instead.  Stops early, with the divergence
-    flag set, when the law emits a non-finite command, |x|_inf exceeds
-    the divergence limit or the integrator goes non-finite; the divergent
-    sample itself is not recorded so emitted files stay finite.
+    """Run one closed-loop simulation on a uniform grid, by the README's
+    simulation conventions: sampled or stage-fed, the delay read from
+    the command record, and an early stop on divergence.
 
     The disturbance is applied to the plant only; the law never sees it.
     The law receives the commanded input history only through its own

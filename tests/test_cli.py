@@ -8,6 +8,7 @@ import os
 import re
 import string
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -319,6 +320,17 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "envout" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--example", "ex3", "--method", "jlc", "--t-end", "0.01"],
+        ["table1", "--dt", "0.1"]], ids=["run", "table1"])
+    def test_empty_env_var_means_the_default_out(self, tmp_path, monkeypatch, argv):
+        # An empty SCL_LAB_OUT counts as unset, as an empty --out does: the
+        # files go to ./out, not into the current directory.
+        monkeypatch.setenv("SCL_LAB_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 
 # The run command's input surface.  Every name is ASCII letters, so a
 # drawn output directory stays inside the case's working directory.
@@ -469,6 +481,14 @@ class TestCheckCommands:
         out = capsys.readouterr().out
         assert out.count("FAIL") == 1 and "non-finite RK4 update" in out
         assert multiprocessing.active_children() == []
+
+    def test_non_finite_sweep_emits_no_runtime_warning(self, capsys):
+        # The diverging lanes overflow before the sweep stops; that is the
+        # FAIL line, and numpy warns of nothing, in the caller or the worker.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["lemma1-check", "--dt", "1.25"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_check_commands_reject_invalid_dt(self, capsys):
         for command in ("lemma1-check", "observer-check"):

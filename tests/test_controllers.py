@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scl_lab.benchmarks import (
     ADRC_B,
@@ -20,6 +22,8 @@ from scl_lab.controllers import (
     LqrLaw,
     PidGains,
     PidTrackingLaw,
+    NEAR_SINGULAR,
+    SINGULAR_GUARD,
     RflcEx3,
     SingularInput,
     leso_error_matrix,
@@ -161,6 +165,35 @@ class TestRflc:
         law = RflcEx3(np.array([[1.7, 2.1]]))
         with pytest.raises(SingularInput):
             law.control(np.array([0.0, -math.pi]))
+
+
+# x2 near +-pi: offsets of up to 0.2 cover the near-singular band
+# (|delta| < ~0.14), offsets of up to 2e-3 the hard band (|delta| < ~1.4e-3).
+_NEAR_PI = st.builds(
+    lambda sign, turn, delta: sign * math.pi + 2 * math.pi * turn + delta,
+    st.sampled_from([-1.0, 1.0]), st.integers(-1, 1),
+    st.floats(-0.2, 0.2) | st.floats(-2e-3, 2e-3) | st.just(0.0))
+
+
+class TestSingularGuard:
+    @settings(max_examples=400, deadline=None)
+    @given(law_type=st.sampled_from([FlcEx3, RflcEx3]), x1=st.floats(-5.0, 5.0),
+           x2=_NEAR_PI)
+    def test_checked_and_clamped_control_share_one_guard(self, law_type, x1, x2):
+        K = [1.3, 2.7]
+        x = np.array([x1, x2])
+        den = 1.0 + math.cos(x2)
+        checked, clamped = law_type(K), law_type(K)
+        u = clamped.control_clamped(x)
+        if abs(den) < SINGULAR_GUARD:
+            with pytest.raises(SingularInput):
+                checked.control(x)
+            assert u.tobytes() == law_type(K)._u(x, SINGULAR_GUARD).tobytes()
+        else:
+            assert checked.control(x).tobytes() == u.tobytes()
+        counts = (int(abs(den) < SINGULAR_GUARD), int(abs(den) < NEAR_SINGULAR))
+        for law in (checked, clamped):
+            assert (law.singular_count, law.near_singular_count) == counts
 
 
 class TestTransformConsistency:

@@ -137,6 +137,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match="y_d must be finite"):
             make_decomposition_ex1(y_d)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 8), data=st.data())
+    def test_ex1_model_read_from_the_catalogue_equals_the_written_out_one(
+            self, rows, data):
+        # The ex1 model written out by hand: A1 = [-4], B1 = [y_d], the
+        # plant field without disturbance and the bilinear remainder.
+        y_d = 20.0
+
+        def field(t, x, u):
+            return (-4.0 * x[..., 0] + x[..., 0] * u[..., 0])[..., None] + 0.0
+
+        def remainder(t, x, xs, u, u_s):
+            uv = u[..., 0]
+            return (-4.0 * xs[..., 0] + x[..., 0] * uv - y_d * uv
+                    + y_d * u_s[..., 0])[..., None]
+
+        dec = make_decomposition_ex1(y_d)
+        assert dec.A1.tobytes() == np.array([[-4.0]]).tobytes()
+        assert dec.B1.tobytes() == np.array([[y_d]]).tobytes()
+        batch = arrays(float, (rows, 1), elements=st.floats(-1e3, 1e3))
+        x, xs, u, u_s = (data.draw(batch) for _ in range(4))
+        assert dec.model_field(0.0, x, u).tobytes() == field(0.0, x, u).tobytes()
+        assert (dec.remainder_field(0.0, x, xs, u, u_s).tobytes()
+                == remainder(0.0, x, xs, u, u_s).tobytes())
+
 
 class TestObserver:
     def test_linear_plant_keeps_zero_remainder(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scl_lab.numerics import (
+    FD_STEP,
     MAX_STEPS,
     CareProblem,
     DivergenceDetected,
@@ -187,6 +188,45 @@ class TestJacobianFd:
                            np.zeros(1), np.zeros(1))
         np.testing.assert_allclose(A, [[-4.0]], atol=1e-9)
         np.testing.assert_allclose(B, [[0.0]], atol=1e-9)
+
+    @staticmethod
+    def two_loops(f, x0, u0):
+        """Reference: one central-difference loop over x, one over u."""
+        h = FD_STEP
+        n, m = x0.shape[0], u0.shape[0]
+        A = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            A[:, j] = (f(x0 + e, u0) - f(x0 - e, u0)) / (2.0 * h)
+        B = np.empty((n, m))
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = h
+            B[:, j] = (f(x0, u0 + e) - f(x0, u0 - e)) / (2.0 * h)
+        return A, B
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), m=st.integers(1, 2))
+    def test_one_loop_over_the_stacked_point_equals_two_loops(self, data, n, m):
+        coefficients = st.floats(-3.0, 3.0)
+        W, G = (data.draw(hnp.arrays(float, (n, k), elements=coefficients))
+                for k in (n, m))
+        x0 = data.draw(hnp.arrays(float, n, elements=coefficients))
+        u0 = data.draw(hnp.arrays(float, m, elements=coefficients))
+
+        def f(x, u):  # smooth, with products of x and u
+            return np.sin(W @ x) + (G @ u) * x + np.cos(G @ u) * x * x
+
+        A, B = jacobian_fd(f, x0, u0)
+        A_ref, B_ref = self.two_loops(f, x0, u0)
+        # Bit for bit up to the sign of a zero: a -0.0 in the block that a
+        # column does not perturb is probed as +0.0 here, and as -0.0 by
+        # the reference; adding 0.0 maps -0.0 to +0.0 and nothing else.
+        assert (A + 0.0).tobytes() == (A_ref + 0.0).tobytes()
+        assert (B + 0.0).tobytes() == (B_ref + 0.0).tobytes()
+        assert A.shape == (n, n) and B.shape == (n, m)
+        assert A.flags.c_contiguous and B.flags.c_contiguous
 
 
 class TestEigenvalues:
