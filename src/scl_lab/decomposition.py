@@ -117,9 +117,7 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
     a = A1[0, 0]
 
     def remainder(t, x, xs, u, u_s):
-        uv = u[..., 0]
-        return (a * xs[..., 0] + x[..., 0] * uv - gain * uv
-                + gain * u_s[..., 0])[..., None]
+        return a * xs + x * u - gain * u + gain * u_s
 
     return Decomposition(A1, np.array([[gain]]), plant.nominal_field, 1, 1,
                          remainder_field=remainder)
@@ -244,6 +242,7 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
     x0 = as_matrix(np.atleast_2d(x0), cols=dec.n, name="x0")
     d = as_vector(d, dim=dec.n, name="d")
     batch, n = x0.shape
+    A1_T, B1_T = dec.A1.T, dec.B1.T
     last = {}
 
     def combined_rate(t, z):
@@ -251,13 +250,15 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
         xp = z[..., n:2 * n]
         xs = z[..., 2 * n:]
         if t not in last:
+            # The input-only terms, kept with the inputs they come from.
+            u, up = inputs(t)
             last.clear()
-            last[t] = inputs(t)
-        u, up = last[t]
+            last[t] = u, up @ B1_T, u - up
+        u, up_B1, us = last[t]
         fx = dec.model_field(t, x, u)
-        lin = xp @ dec.A1.T + up @ dec.B1.T
+        lin = xp @ A1_T + up_B1
         if dec.remainder_field is not None:
-            ds = dec.remainder_field(t, x, xs, u, u - up)
+            ds = dec.remainder_field(t, x, xs, u, us)
         else:
             ds = fx - lin
         return np.concatenate((fx + d, lin + d, ds), axis=-1)

@@ -3,13 +3,17 @@
 Plant fields are written with numpy ufuncs so the same callable
 evaluates a single state ``(n,)`` or a batch ``(B, n)``; the batched form
 is what makes the decomposition checks cheap to run over many randomized
-inputs.  The ex3 fields unpack components with ``x1, x2 = x.T``: on one
-state that yields float64 scalars, which skip the per-call array
-dispatch that dominates a single-lane step, and on a batch it yields the
-``(B,)`` columns.  They write into ``out.T[k]`` of an ``np.empty``
-output, with the operation order of the scalar formulas, so both forms
-give the same bits per lane.  ``_ex2_field`` multiplies through
-``numerics.matvec`` for the same reason.
+inputs.  The ex1 field is one expression on the ``(..., 1)`` arrays.
+The ex3 fields index components as ``x.T[k]``: on one state that yields
+float64 scalars, which skip the per-call array dispatch that dominates
+a single-lane step, and on a batch it yields the ``(B,)`` columns.
+They write through one ``out.T`` view of an ``np.empty`` output, with
+the operation order of the scalar formulas, so both forms give the same
+bits per lane.  ``_ex2_field`` multiplies through ``numerics.matvec``
+for the same reason.  Each field adds its disturbance last, so with the
+model's ``d = 0.0`` it never returns -0.0, which keeps the observer step
+bit for bit whichever sign ``matvec`` gives a zero (README, simulation
+conventions).
 """
 
 from __future__ import annotations
@@ -155,9 +159,7 @@ class SimulationTrace:
 # --- Example plants -------------------------------------------------------
 
 def _ex1_field(t, x, u, d):
-    xv = x[..., 0]
-    uv = u[..., 0]
-    return (-4.0 * xv + xv * uv)[..., None] + d
+    return -4.0 * x + x * u + d
 
 
 def _first_state(x):  # the output y = x1 of ex1 and ex3
@@ -188,10 +190,12 @@ def _ex2_remainder(t, x, xs, u, u_s):
 
 
 def _ex3_field(t, x, u, d):
-    x1, x2 = x.T
+    x1 = x.T[0]
+    x2 = x.T[1]
     out = np.empty(x.shape)
-    out.T[0] = x2 + np.sin(x2)
-    out.T[1] = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + u.T[0]
+    o = out.T
+    o[0] = x2 + np.sin(x2)
+    o[1] = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + u.T[0]
     out += d
     return out
 
@@ -201,10 +205,12 @@ def _ex3_remainder(t, x, xs, u, u_s):
     # reading matches the generic remainder f - A1 xp - B1 up term by
     # term (the exactness harness certifies it).
     x2 = x.T[1]
-    s1, s2 = xs.T
+    s1 = xs.T[0]
+    s2 = xs.T[1]
     out = np.empty(xs.shape)
-    out.T[0] = 2.0 * s2 - x2 + np.sin(x2)
-    out.T[1] = -2.0 * s1 - 3.0 * s2 + 2.0 * x2 * x2 + u_s.T[0]
+    o = out.T
+    o[0] = 2.0 * s2 - x2 + np.sin(x2)
+    o[1] = -2.0 * s1 - 3.0 * s2 + 2.0 * x2 * x2 + u_s.T[0]
     return out
 
 
@@ -356,7 +362,8 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
 
         try:
             x = rk4_step(rate, t, x, dt)
-            bounded = np.abs(x).max() <= DIVERGENCE_LIMIT
+            # x is the finite (n,) state, so the builtins compare its floats.
+            bounded = max(map(abs, x)) <= DIVERGENCE_LIMIT
         except NonFiniteState:
             bounded = False
         if not bounded:

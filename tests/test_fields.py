@@ -1,23 +1,31 @@
-"""The plant fields, the observer step and the harness's batched output
-keep their bits.
+"""The plant fields, the observer step, the linear products and the
+harness's batched output keep their bits.
 
-``_ex3_field`` and ``_ex3_remainder`` unpack components with ``x.T`` and
-write into a preallocated output.  The references below are the
-``np.stack`` forms they replaced; the new forms must equal them bit for
-bit, on one state and on a batch, and lane k of a batch must equal the
-single call on lane k.  The same per-lane identity holds for the ex1 and
-ex2 fields and for ``Decomposition.advance`` on every shipped model,
-which is what lets ``replay_observer`` batch the run's observer steps
-and still find them exact.
+``_ex3_field`` and ``_ex3_remainder`` index components as ``x.T[k]`` and
+write through one ``out.T`` view of a preallocated output; the ex1 field
+and remainder are whole-array expressions on the ``(..., 1)`` arrays.
+The references below are the ``np.stack`` and ``[..., 0]`` forms they
+replaced; the new forms must equal them bit for bit, on one state and on
+a batch, and lane k of a batch must equal the single call on lane k.
+The same per-lane identity holds for the ex1 and ex2 fields and for
+``Decomposition.advance`` on every shipped model, which is what lets
+``replay_observer`` batch the run's observer steps and still find them
+exact.  ``matvec`` and ``LqrLaw`` multiply one vector with ``.dot``,
+which must give the bits of the ``@`` product, up to the sign of a zero
+when the inner dimension is 1 (see ``matmul_bits``).
 """
 
 import numpy as np
+import pytest
 from conftest import OBSERVER_MODELS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scl_lab.benchmarks import build_run
+from scl_lab.controllers import LqrLaw
+from scl_lab.decomposition import make_decomposition_ex1
+from scl_lab.numerics import matvec, rk4_step
 from scl_lab.plants import (
     _ex1_field,
     _ex2_field,
@@ -25,6 +33,21 @@ from scl_lab.plants import (
     _ex3_remainder,
     simulate,
 )
+
+
+def reference_ex1_field(t, x, u, d):
+    xv = x[..., 0]
+    uv = u[..., 0]
+    return (-4.0 * xv + xv * uv)[..., None] + d
+
+
+def reference_ex1_remainder(gain):
+    def remainder(t, x, xs, u, u_s):
+        uv = u[..., 0]
+        return (-4.0 * xs[..., 0] + x[..., 0] * uv - gain * uv
+                + gain * u_s[..., 0])[..., None]
+
+    return remainder
 
 
 def reference_ex3_field(t, x, u, d):
@@ -63,6 +86,41 @@ def batches(draw, cols):
 
 
 disturbances = st.one_of(st.just(0.0), vectors(2))
+
+
+class TestEx1Field:
+    @settings(max_examples=200, deadline=None)
+    @given(x=vectors(1), u=vectors(1), d=st.one_of(st.just(0.0), vectors(1)))
+    def test_single_state_matches_indexed_form(self, x, u, d):
+        assert same_bits(_ex1_field(0.0, x, u, d), reference_ex1_field(0.0, x, u, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.one_of(st.just(0.0), vectors(1)))
+    def test_batch_matches_indexed_form(self, data, d):
+        x = data.draw(batches(1))
+        u = data.draw(vectors(x.shape[0], 1))
+        assert same_bits(_ex1_field(0.0, x, u, d), reference_ex1_field(0.0, x, u, d))
+
+
+gains = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda g: g != 0.0)
+
+
+class TestEx1Remainder:
+    @settings(max_examples=200, deadline=None)
+    @given(gain=gains, x=vectors(1), xs=vectors(1), u=vectors(1), u_s=vectors(1))
+    def test_single_state_matches_indexed_form(self, gain, x, xs, u, u_s):
+        remainder = make_decomposition_ex1(gain).remainder_field
+        assert same_bits(remainder(0.0, x, xs, u, u_s),
+                         reference_ex1_remainder(gain)(0.0, x, xs, u, u_s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gain=gains, data=st.data())
+    def test_batch_matches_indexed_form(self, gain, data):
+        x = data.draw(batches(1))
+        xs, u, u_s = (data.draw(vectors(x.shape[0], 1)) for _ in range(3))
+        remainder = make_decomposition_ex1(gain).remainder_field
+        assert same_bits(remainder(0.0, x, xs, u, u_s),
+                         reference_ex1_remainder(gain)(0.0, x, xs, u, u_s))
 
 
 class TestEx3Field:
@@ -125,7 +183,49 @@ class TestLinearFields:
         assert lanes_match_single_calls(out, lambda xk, uk: _ex2_field(0.0, xk, uk, d), x, u)
 
 
+dims = st.integers(1, 8)
+
+
+def matmul_bits(product, inner):
+    """``product`` with the bits ``A @ x`` must have: all of them when the
+    inner dimension exceeds 1.  With one inner entry numpy's dot scales
+    a column (a 1x1 ``A`` is a plain product), so a zero entry may keep
+    the -0.0 that ``A @ x``, a sum from +0.0, turns into +0.0; adding
+    +0.0 maps -0.0 to +0.0 and leaves every other value's bits alone."""
+    return product if inner > 1 else product + 0.0
+
+
+class TestDotProducts:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=dims, cols=dims, data=st.data())
+    def test_matvec_has_the_bits_of_matmul(self, rows, cols, data):
+        A = data.draw(vectors(rows, cols))
+        x = data.draw(vectors(cols))
+        assert same_bits(matmul_bits(matvec(A, x), cols), A @ x)
+        batch = data.draw(batches(cols))
+        out = matvec(A, batch)
+        assert out.shape == (batch.shape[0], rows)
+        assert lanes_match_single_calls(out, lambda xk: A @ xk, batch)
+        assert lanes_match_single_calls(
+            out, lambda xk: matmul_bits(matvec(A, xk), cols), batch)
+
+    @pytest.mark.parametrize("a,x", [(-1.0, 0.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_one_by_one_keeps_the_sign_of_a_zero_product(self, a, x):
+        A, v = np.array([[a]]), np.array([x])
+        assert same_bits(matvec(A, v), np.array([-0.0]))
+        assert same_bits(A @ v, np.array([0.0]))
+        assert same_bits(matvec(A, v[None]), np.array([[0.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 3), n=dims, data=st.data())
+    def test_lqr_control_has_the_bits_of_minus_k_x(self, m, n, data):
+        K = data.draw(vectors(m, n))
+        x = data.draw(vectors(n))
+        assert same_bits(matmul_bits(LqrLaw(K).control(x), n), -K @ x)
+
+
 observer_signals = st.floats(-1e3, 1e3, allow_nan=False)
+signed_zeros_and_units = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
 
 
 class TestObserverStep:
@@ -142,6 +242,23 @@ class TestObserverStep:
         assert out.shape == (size, dec.n)
         assert lanes_match_single_calls(
             out, lambda *row: dec.advance(*row, dt), xs, x, u, u_s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from(sorted(OBSERVER_MODELS)), data=st.data())
+    def test_zero_signals_keep_the_bits_of_the_matmul_step(self, model, data):
+        # Exact zeros, of both signs, are where matvec's one-vector .dot
+        # and ``@`` can differ (in the sign of a zero product); the
+        # shipped model fields absorb it, so the step keeps the bits of
+        # the ``@`` form and of its batched row.
+        dec = OBSERVER_MODELS[model]()
+        xs, x, u, u_s = (
+            data.draw(arrays(np.float64, cols, elements=signed_zeros_and_units))
+            for cols in (dec.n, dec.n, dec.m, dec.m))
+        out = dec.advance(xs, x, u, u_s, 1e-3)
+        drive = dec.model_field(0.0, x, u) - dec.A1 @ x + dec.B1 @ (u_s - u)
+        expected = rk4_step(lambda _t, v: dec.A1 @ v + drive, 0.0, xs, 1e-3)
+        assert same_bits(out, expected)
+        assert same_bits(dec.advance(xs[None], x[None], u[None], u_s[None], 1e-3)[0], out)
 
 
 def test_batched_output_matches_per_row_output_on_ex2():

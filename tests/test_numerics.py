@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,41 @@ class TestRk4:
             return np.abs(samples[-1][1] - exact).max()
 
         assert 14.0 <= endpoint_error(0.1) / endpoint_error(0.05) <= 20.0
+
+
+def constant_field(shape, index, value):
+    """A field whose rate is ``value`` at ``index`` and zero elsewhere."""
+    rate = np.zeros(shape)
+    rate[index] = value
+
+    def f(t, x):
+        return rate.copy()
+
+    return f
+
+
+FINITENESS_CASES = [((2,), (1,)), ((4, 3), (2, 0))]
+
+
+class TestRk4FinitenessGuard:
+    # Errors on RuntimeWarning: an inf - inf inside the guard warns
+    # "invalid value encountered in subtract" and must not happen.
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("shape,index", FINITENESS_CASES, ids=("state", "batch"))
+    def test_non_finite_update_raises_at_step_time(self, bad, shape, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteState) as info:
+                rk4_step(constant_field(shape, index, bad), 1.25, np.ones(shape), 0.01)
+        assert info.value.t == 1.25
+
+    @pytest.mark.parametrize("shape,index", FINITENESS_CASES, ids=("state", "batch"))
+    def test_huge_finite_update_passes(self, shape, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = rk4_step(constant_field(shape, index, 1e300), 0.0, np.ones(shape), 0.01)
+        assert np.isfinite(out).all()
+        assert out[index] == pytest.approx(1e298)
 
 
 @st.composite
