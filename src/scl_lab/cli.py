@@ -41,6 +41,7 @@ EXIT_DIVERGED = 3
 
 LEMMA_TOL = 1e-6
 OBSERVER_TOL = 1e-9
+CSV_BLOCK_ROWS = 4096  # trace rows per formatted write; bounds its memory
 
 # The JSON type of each config key's value.  A number (int or float) is
 # kept as a float; null, and bool (an int subclass), are refused.
@@ -53,13 +54,14 @@ def _default_out() -> str:
 
 
 def write_trace_csv(trace: SimulationTrace, path: Path):
-    """RFC-4180 CSV with 15 significant digits; byte-identical per run.
+    """RFC-4180 CSV with 15 significant digits, ``np.savetxt``'s bytes,
+    formatted ``CSV_BLOCK_ROWS`` rows at a time; byte-identical per run.
 
-    Each block is ``(name, 2-D column array, numbered)``; a block's
+    Each group is ``(name, 2-D column array, numbered)``; a group's
     columns are ``name1..namek``, or just ``name`` when it has a single
     column and is not ``numbered``.
     """
-    blocks = [("t", trace.t[:, None], False), ("x", trace.x, True),
+    groups = [("t", trace.t[:, None], False), ("x", trace.x, True),
               ("u_commanded", trace.u_cmd, False),
               ("u_applied", trace.u_applied, False),
               ("u_p", trace.u_p, False), ("u_s", trace.u_s, False),
@@ -67,11 +69,13 @@ def write_trace_csv(trace: SimulationTrace, path: Path):
               ("y", trace.y, False), ("y_d", trace.y_d[:, None], False)]
     header = ",".join(
         name if cols.shape[1] == 1 and not numbered else f"{name}{j + 1}"
-        for name, cols, numbered in blocks for j in range(cols.shape[1]))
+        for name, cols, numbered in groups for j in range(cols.shape[1]))
+    row_format = ",".join(["%.15g"] * (header.count(",") + 1)) + "\r\n"
     with path.open("w", newline="") as fh:
-        np.savetxt(fh, np.hstack([cols for _, cols, _ in blocks]),
-                   fmt="%.15g", delimiter=",", newline="\r\n",
-                   header=header, comments="")
+        fh.write(header + "\r\n")
+        for start in range(0, len(trace), CSV_BLOCK_ROWS):
+            block = np.hstack([c[start:start + CSV_BLOCK_ROWS] for _, c, _ in groups])
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_plot_svg(trace: SimulationTrace, path: Path, title: str):

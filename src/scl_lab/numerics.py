@@ -124,17 +124,39 @@ def any_nonfinite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) != a.size
 
 
+# numpy's own float64 dtype; other float64 dtypes take rk4_step's array form.
+_FLOAT64 = np.dtype(np.float64)
+
+
 def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of x' = f(t, x).
 
     ``x`` may be one state ``(n,)`` or a batch ``(B, n)``.  Deterministic
     for identical inputs.  Raises NonFiniteState when the combined update
     is not finite (a NaN or Inf at any stage propagates into the sum).
+
+    A float64 state whose first rate is a float64 ``(n,)`` array sums its
+    stages on Python floats, in the array form's order: a float's ``+``
+    and ``*`` round as numpy's float64 loops do, unfused, so the bits are
+    the batch row's.  Any other state or rate takes the array form (numpy
+    rounds a float32 rate's ``h * k`` in float32).  The later stages pass
+    float64 ``(n,)`` states too, and their rates must be float64 ``(n,)``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     h = 0.5 * dt
     k1 = f(t, x)
+    if x.ndim == 1 and x.dtype is k1.dtype is _FLOAT64 and k1.shape == x.shape:
+        x0, k1 = x.tolist(), k1.tolist()
+        k2 = f(t + h, np.array([a + h * k for a, k in zip(x0, k1)])).tolist()
+        k3 = f(t + h, np.array([a + h * k for a, k in zip(x0, k2)])).tolist()
+        k4 = f(t + dt, np.array([a + dt * k for a, k in zip(x0, k3)])).tolist()
+        w = dt / 6.0
+        out = [a + w * (p + 2.0 * q + 2.0 * r + s)
+               for a, p, q, r, s in zip(x0, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, out)):
+            raise NonFiniteState(t, "RK4 update")
+        return np.array(out)
     k2 = f(t + h, x + h * k1)
     k3 = f(t + h, x + h * k2)
     k4 = f(t + dt, x + dt * k3)
@@ -193,10 +215,9 @@ def integrate(f: Callable, x0, t0: float, t_end: float,
     n = step_count(t0, t_end, dt)
     samples = [(t0, x.copy())]
     for k in range(n):
-        t = t0 + k * dt
-        x = rk4_step(f, t, x, dt)
+        x = rk4_step(f, t0 + k * dt, x, dt)  # a new array, so no copy
         t_next = t0 + (k + 1) * dt
-        samples.append((t_next, x.copy()))
+        samples.append((t_next, x))
         if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
             raise DivergenceDetected(t_next, samples)
     return samples

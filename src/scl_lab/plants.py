@@ -363,7 +363,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         try:
             x = rk4_step(rate, t, x, dt)
             # x is the finite (n,) state, so the builtins compare its floats.
-            bounded = max(map(abs, x)) <= DIVERGENCE_LIMIT
+            bounded = max(map(abs, x.tolist())) <= DIVERGENCE_LIMIT
         except NonFiniteState:
             bounded = False
         if not bounded:

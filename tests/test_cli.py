@@ -542,11 +542,11 @@ def reference_trace_csv(trace):
 
 
 @st.composite
-def traces(draw):
+def traces(draw, rows=st.integers(0, 40)):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 3))
     p = draw(st.integers(1, 3))
-    rows = draw(st.integers(0, 40))
+    rows = draw(rows)
     # Finite doubles; hypothesis mixes in -0.0, subnormals and extremes.
     cells = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -561,10 +561,22 @@ def traces(draw):
 
 
 class TestTraceCsv:
+    # Blocks of 1 to 8 rows, so most drawn traces cross a block boundary.
     @settings(max_examples=40, deadline=None)
-    @given(trace=traces())
-    def test_matches_row_by_row_writer(self, trace):
-        with tempfile.TemporaryDirectory() as tmp:
+    @given(trace=traces(), block_rows=st.integers(1, 8))
+    def test_matches_row_by_row_writer(self, trace, block_rows):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
             path = Path(tmp) / "trace.csv"
             write_trace_csv(trace, path)
             assert path.read_bytes() == reference_trace_csv(trace)
+
+    @settings(max_examples=5, deadline=None)
+    @given(trace=traces(rows=st.just(0)))
+    def test_empty_trace_writes_the_header_only(self, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(trace, path)
+            data = path.read_bytes()
+        assert data == reference_trace_csv(trace)
+        assert data.count(b"\r\n") == 1 and data.endswith(b"\r\n")

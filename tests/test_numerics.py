@@ -107,6 +107,76 @@ class TestRk4FinitenessGuard:
         assert out[index] == pytest.approx(1e298)
 
 
+# Any finite double, with the edges named: signed zeros, the smallest
+# subnormal and normal, and the largest double.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@st.composite
+def affine_rk4_cases(draw):
+    """A field ``c * x + d`` (elementwise, so each batch row sees the
+    one-vector arithmetic), a state, ``t`` and ``dt``."""
+    n = draw(st.integers(1, 4))
+    c, d, x = (draw(hnp.arrays(np.float64, n, elements=EDGE_FLOATS)) for _ in range(3))
+    t = draw(st.floats(-1e3, 1e3))
+    dt = draw(st.one_of(st.floats(1e-6, 1.0), st.floats(0.0, 1e300, exclude_min=True)))
+    return (lambda _t, xi: c * xi + d), x, t, dt
+
+
+def rk4_outcome(f, t, x, dt):
+    """The step's uint64 bits, or the ``t`` of its NonFiniteState."""
+    with np.errstate(all="ignore"):
+        try:
+            return rk4_step(f, t, x, dt).view(np.uint64).tolist()
+        except NonFiniteState as exc:
+            return ("NonFiniteState", exc.t)
+
+
+class TestRk4OneVector:
+    @settings(max_examples=300, deadline=None)
+    @given(case=affine_rk4_cases())
+    def test_has_the_bits_of_its_batch_row(self, case):
+        f, x, t, dt = case
+        single = rk4_outcome(f, t, x, dt)
+        batch = rk4_outcome(f, t, np.stack([x, x, x]), dt)
+        if isinstance(single, tuple):
+            assert batch == single
+        else:
+            assert batch == [single] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=affine_rk4_cases())
+    def test_returns_a_fresh_float64_vector(self, case):
+        # Under a zero field the step is x + 0.0: x's values, but a new
+        # array, and -0.0 comes out +0.0 as in the batch form.
+        _, x, t, dt = case
+        out = rk4_step(lambda _t, xi: np.zeros_like(xi), t, x, dt)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert not np.shares_memory(out, x)
+        assert out.view(np.uint64).tolist() == (x + 0.0).view(np.uint64).tolist()
+
+    def test_overflowing_update_raises_at_step_time_for_both_forms(self):
+        # Finite rates whose weighted sum k1 + 2 k2 + 2 k3 + k4 overflows.
+        f = lambda _t, xi: np.full(xi.shape, 1.5e308)  # noqa: E731
+        x = np.array([0.0, 1.0])
+        assert rk4_outcome(f, 2.5, x, 1.0) == ("NonFiniteState", 2.5)
+        assert rk4_outcome(f, 2.5, x[None, :], 1.0) == ("NonFiniteState", 2.5)
+
+    @pytest.mark.parametrize("rate", [np.full(2, 0.1, dtype=np.float32), np.full(1, 0.1),
+                                      np.full(2, 0.1, dtype=">f8")],
+                             ids=("float32", "broadcast", "big-endian"))
+    def test_another_rate_takes_the_array_form(self, rate):
+        # The float sums would round a float32 rate's h * k in float64,
+        # and would not broadcast a (1,) rate: all keep the batch's bits.
+        x = np.array([0.3, -0.7])
+        single = rk4_step(lambda _t, xi: rate, 0.0, x, 0.01)
+        batch = rk4_step(lambda _t, xi: rate, 0.0, x[None, :], 0.01)
+        assert single.view(np.uint64).tolist() == batch[0].view(np.uint64).tolist()
+
+
 @st.composite
 def linear_steps(draw):
     n = draw(st.integers(1, 4))
