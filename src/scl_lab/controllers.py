@@ -3,9 +3,9 @@ feedback-linearizing controllers with their singularity guards, and a
 disturbance-rejection law built on a linear extended state observer.
 
 All laws implement the small ControlLaw interface used by the simulation
-harness: ``step(x, ref, t, dt) -> u`` plus ``reset``, and the declared
-stage-feedback and singular-event attributes.  Laws are deterministic for
-identical call sequences and single-owner mutable.
+harness: ``step(x, ref, t, dt) -> u``, ``control_clamped(x)``, ``reset``
+and the declared stage-feedback and singular-event attributes.  Laws are
+deterministic for identical call sequences and single-owner mutable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonFiniteState, any_nonfinite, as_matrix, as_vector, rk4_affine
+from .numerics import NonFiniteState, as_matrix, as_vector, rk4_affine
 
 # Feedback-linearizing input transforms are declared singular when the
 # denominator magnitude drops below this.
@@ -51,9 +51,9 @@ class SingularInput(RuntimeError):
 class ControlLaw:
     """Uniform controller interface: measured state in, input vector out.
 
-    A ``stage_feedback`` law defines ``control_clamped(x)``, which the
-    harness evaluates at every RK4 stage state (the continuous closed
-    loop) instead of holding the sampled command over the step.
+    The base ``step`` returns ``control_clamped(x)``, declared here; the
+    harness evaluates it at every RK4 stage state of a ``stage_feedback``
+    law (the continuous closed loop) instead of holding the sampled command.
     ``reset()`` returns a law to its initial state and zeroes
     ``singular_count`` and ``near_singular_count``; the harness resets a
     law before each run.
@@ -71,6 +71,9 @@ class ControlLaw:
     near_singular_count = 0
 
     def step(self, x, ref, t, dt) -> np.ndarray:
+        return self.control_clamped(x)
+
+    def control_clamped(self, x) -> np.ndarray:
         raise NotImplementedError
 
     def reset(self):
@@ -142,14 +145,10 @@ class LqrLaw(ControlLaw):
         self._minus_K = -self.K
 
     def control(self, x):
-        # -K @ x at half the call overhead: the negation is exact, and
-        # .dot is matvec's one-vector product (same bits for n > 1).
+        # -K @ x by matvec's one-vector form, inlined; negating K is exact.
         return self._minus_K.dot(x)
 
     control_clamped = control
-
-    def step(self, x, ref, t, dt):
-        return self.control(x)
 
 
 class ZeroLaw(ControlLaw):
@@ -209,10 +208,9 @@ class BacksteppingSecondary:
 class _SingularGuardLaw(ControlLaw):
     """Shared guard of the laws with a 1/(1 + cos x2) input transform
     (README, simulation conventions).  ``control`` checks its argument
-    and raises SingularInput inside the hard band; ``control_clamped``,
-    which ``step`` and the RK4 stages call on the (2,) float state the
-    harness built, floors the denominator there instead, so a run can
-    record the aftermath.
+    and raises SingularInput inside the hard band; ``control_clamped``
+    takes the (2,) float state the harness built and floors the
+    denominator there instead, so a run can record the aftermath.
     """
 
     stage_feedback = True
@@ -245,9 +243,6 @@ class _SingularGuardLaw(ControlLaw):
 
     def control_clamped(self, x) -> np.ndarray:
         return self._guarded(x, clamp=True)
-
-    def step(self, x, ref, t, dt):
-        return self.control_clamped(x)
 
 
 class FlcEx3(_SingularGuardLaw):
@@ -332,7 +327,7 @@ class AdrcLaw(ControlLaw):
                           3.0 * w0 ** 2 * y_prev + self.b * u_prev,
                           w0 ** 3 * y_prev])
             xhat = T.dot(self.xhat) + S.dot(c)
-            if any_nonfinite(xhat):
+            if not np.isfinite(xhat).all():
                 raise NonFiniteState(t - dt, "RK4 update")
             self.xhat = xhat
         u0 = -(self.K[0] * float(x[0]) + self.K[1] * float(x[1]))

@@ -7,6 +7,7 @@ its simulation conventions say where the remainder estimate lives.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -91,8 +92,7 @@ def make_decomposition(plant: PlantModel) -> Decomposition:
     if not is_hurwitz(A1):
         raise UnstableA1(
             f"A1 of {plant.name!r} is not Hurwitz; the open-loop observer needs a stable A1")
-    return Decomposition(np.asarray(A1, float), np.asarray(B1, float),
-                         plant.nominal_field, plant.n, plant.m,
+    return Decomposition(A1, B1, plant.nominal_field, plant.n, plant.m,
                          remainder_field=plant.remainder_field)
 
 
@@ -107,7 +107,7 @@ def make_decomposition_ex1(y_d: float) -> Decomposition:
     benchmark uses u_p = u).
     """
     gain = float(y_d)
-    if not np.isfinite(gain):
+    if not math.isfinite(gain):
         raise ValueError(f"reference y_d must be finite, got {y_d!r}")
     if gain == 0.0:
         raise ZeroReferenceGain("y_d = 0 gives B1 = 0; primary loop uncontrollable")

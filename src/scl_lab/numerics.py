@@ -43,7 +43,7 @@ CARE_MAX_ITER = 50
 class NonFiniteState(RuntimeError):
     """A state or derivative evaluation produced NaN or Inf."""
 
-    def __init__(self, t: float, what: str = "state"):
+    def __init__(self, t: float, what: str):
         super().__init__(f"non-finite {what} at t={t:.6g}")
         self.t = t
         self.what = what
@@ -96,32 +96,18 @@ def as_matrix(M, rows: Optional[int] = None, cols: Optional[int] = None,
         raise ValueError(f"{name} must have {rows} rows, got {A.shape[0]}")
     if cols is not None and A.shape[1] != cols:
         raise ValueError(f"{name} must have {cols} columns, got {A.shape[1]}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for one vector ``(n,)``, and row by row for a batch
-    ``(B, n)`` with each row equal to the single call.
-
-    One vector goes through ``A.dot(x)``, ``A @ x`` at half its call
-    overhead.  The batch goes through the stacked product
-    ``A @ x[..., None]``; the plain ``x @ A.T`` is one BLAS gemm, which
-    rounds differently (by up to 1e-14 on the shipped models).  Both
-    forms have the bits of ``A @ x`` when ``n > 1``.  With ``n == 1``
-    the one-vector form scales a column, and a zero entry may come out
-    -0.0 where ``A @ x``, a sum from +0.0, gives +0.0.
-    """
+    ``(B, n)`` with each row equal to the single call, but for the sign
+    of a zero when ``n == 1`` (README, simulation conventions)."""
     if x.ndim == 1:
         return A.dot(x)
     return (A @ x[..., None])[..., 0]
-
-
-def any_nonfinite(a: np.ndarray) -> bool:
-    """True when an entry of ``a`` is NaN or Inf; cheaper than
-    ``not np.isfinite(a).all()``, and it warns on nothing."""
-    return np.count_nonzero(np.isfinite(a)) != a.size
 
 
 # numpy's own float64 dtype; other float64 dtypes take rk4_step's array form.
@@ -134,13 +120,9 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     ``x`` may be one state ``(n,)`` or a batch ``(B, n)``.  Deterministic
     for identical inputs.  Raises NonFiniteState when the combined update
     is not finite (a NaN or Inf at any stage propagates into the sum).
-
-    A float64 state whose first rate is a float64 ``(n,)`` array sums its
-    stages on Python floats, in the array form's order: a float's ``+``
-    and ``*`` round as numpy's float64 loops do, unfused, so the bits are
-    the batch row's.  Any other state or rate takes the array form (numpy
-    rounds a float32 rate's ``h * k`` in float32).  The later stages pass
-    float64 ``(n,)`` states too, and their rates must be float64 ``(n,)``.
+    A float64 ``(n,)`` state whose first rate is float64 ``(n,)`` sums
+    its stages on Python floats with the bits of a batch row; its later
+    rates must be float64 ``(n,)`` too (README, simulation conventions).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -161,7 +143,7 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     k3 = f(t + h, x + h * k2)
     k4 = f(t + dt, x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if any_nonfinite(out):
+    if not np.isfinite(out).all():
         raise NonFiniteState(t, "RK4 update")
     return out
 
@@ -172,8 +154,7 @@ def rk4_affine(A, dt: float) -> Tuple[np.ndarray, np.ndarray]:
 
         T = sum_{k<=4} (dt A)^k / k!,   S = dt * sum_{k<=3} (dt A)^k / (k+1)!.
 
-    Exact in real arithmetic; in floating point the two forms round
-    differently, by a few ulps of the state per step.
+    Exact in real arithmetic; the README says how far the two round apart.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -218,7 +199,7 @@ def integrate(f: Callable, x0, t0: float, t_end: float,
         x = rk4_step(f, t0 + k * dt, x, dt)  # a new array, so no copy
         t_next = t0 + (k + 1) * dt
         samples.append((t_next, x))
-        if np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+        if max(map(abs, x.tolist())) > DIVERGENCE_LIMIT:
             raise DivergenceDetected(t_next, samples)
     return samples
 
@@ -237,7 +218,7 @@ def jacobian_fd(f: Callable, x0, u0) -> Tuple[np.ndarray, np.ndarray]:
 
     def probe(z):
         val = np.asarray(f(z[:n], z[n:]), dtype=float)
-        if not np.all(np.isfinite(val)):
+        if not np.isfinite(val).all():
             raise NonFiniteState(0.0, "finite-difference probe")
         return val
 
@@ -427,7 +408,7 @@ def solve_care(p: CareProblem) -> Tuple[np.ndarray, np.ndarray]:
     P = 0.5 * (P + P.T)
     res = care_residual(p, P)
     bound = 1e-8 * (1.0 + float(np.max(np.abs(P))) ** 2)
-    if not np.isfinite(res) or res > bound:
+    if not math.isfinite(res) or res > bound:
         raise NoConvergence(f"CARE residual {res:.3e} exceeds bound {bound:.3e}")
     K = np.linalg.solve(p.R, p.B.T @ P)
     if not is_hurwitz(p.A - p.B @ K):

@@ -1,19 +1,9 @@
 """Benchmark plants, scenarios, input blocks, and the closed-loop harness.
 
-Plant fields are written with numpy ufuncs so the same callable
-evaluates a single state ``(n,)`` or a batch ``(B, n)``; the batched form
-is what makes the decomposition checks cheap to run over many randomized
-inputs.  The ex1 field is one expression on the ``(..., 1)`` arrays.
-The ex3 fields index components as ``x.T[k]``: on one state that yields
-float64 scalars, which skip the per-call array dispatch that dominates
-a single-lane step, and on a batch it yields the ``(B,)`` columns.
-They write through one ``out.T`` view of an ``np.empty`` output, with
-the operation order of the scalar formulas, so both forms give the same
-bits per lane.  ``_ex2_field`` multiplies through ``numerics.matvec``
-for the same reason.  Each field adds its disturbance last, so with the
-model's ``d = 0.0`` it never returns -0.0, which keeps the observer step
-bit for bit whichever sign ``matvec`` gives a zero (README, simulation
-conventions).
+The ex3 fields index components as ``x.T[k]``: float64 scalars on one
+state, which skip the per-call array dispatch of a single-lane step, and
+the ``(B,)`` columns on a batch.  Each field adds its disturbance last
+(README, simulation conventions).
 """
 
 from __future__ import annotations
@@ -47,9 +37,8 @@ class Saturation:
             raise ValueError("saturation bounds must satisfy lo < hi")
 
     def __call__(self, u):
-        # np.clip's result at half its call overhead; NaN propagates, as
-        # there.  Bit for bit as long as neither bound is +-0: which zero
-        # a +-0 tie returns is not documented by numpy.
+        # np.clip's bits, NaN included, at half its call overhead, while
+        # neither bound is +-0 (numpy leaves a +-0 tie's sign undocumented).
         return np.minimum(self.hi, np.maximum(self.lo, u))
 
 
@@ -303,9 +292,8 @@ def build_example(name: str) -> Tuple[PlantModel, List[Scenario]]:
 
 def simulate(plant: PlantModel, law, scenario: Scenario,
              dt: float = DEFAULT_DT, t_end: Optional[float] = None) -> SimulationTrace:
-    """Run one closed-loop simulation on a uniform grid, by the README's
-    simulation conventions: sampled or stage-fed, the delay read from
-    the command record, and an early stop on divergence.
+    """Run one closed-loop simulation by the README's simulation
+    conventions (sampled or stage-fed, delay, divergence stop).
 
     The disturbance is applied to the plant only; the law never sees it.
     The law receives the commanded input history only through its own

@@ -15,6 +15,7 @@ import numpy as np
 Series = Tuple[str, Sequence[float], Sequence[float]]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_TICK_TARGET = 6  # ticks per axis that _ticks aims for
 
 
 def _widen(lo: float, hi: float) -> Tuple[float, float]:
@@ -27,14 +28,14 @@ def _widen(lo: float, hi: float) -> Tuple[float, float]:
     return lo - pad, lo + pad
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0]
     span = _widen(lo, hi)
     if not math.isfinite(span[1] - span[0]):
         return [lo]  # the span overflows
     lo, hi = span
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -44,7 +45,7 @@ def _ticks(lo: float, hi: float, target: int = 6) -> List[float]:
     out = []
     v = first
     stop = min(hi + 1e-12 * step, sys.float_info.max)  # v += step may overflow
-    while v <= stop and len(out) <= 2 * target:
+    while v <= stop and len(out) <= 2 * _TICK_TARGET:
         out.append(0.0 if abs(v) < 1e-12 * step else v)
         v += step
     return out or [lo]

@@ -18,6 +18,7 @@ from scl_lab.controllers import (
     AdrcLaw,
     BacksteppingParams,
     BacksteppingSecondary,
+    ControlLaw,
     FlcEx3,
     LqrLaw,
     PidGains,
@@ -194,6 +195,29 @@ class TestSingularGuard:
         counts = (int(abs(den) < SINGULAR_GUARD), int(abs(den) < NEAR_SINGULAR))
         for law in (checked, clamped):
             assert (law.singular_count, law.near_singular_count) == counts
+
+
+class TestStageValue:
+    """``step`` of a memoryless law is the declared ``control_clamped``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law_type=st.sampled_from([LqrLaw, FlcEx3, RflcEx3]), x1=st.floats(-5.0, 5.0),
+           x2=_NEAR_PI | st.floats(-5.0, 5.0))
+    def test_step_returns_the_clamped_control(self, law_type, x1, x2):
+        K = [[1.3, 2.7]]
+        x = np.array([x1, x2])
+        stepped, clamped = law_type(K), law_type(K)
+        u = stepped.step(x, 0.5, 0.25, 1e-3)
+        assert u.tobytes() == clamped.control_clamped(x).tobytes()
+        assert ((stepped.singular_count, stepped.near_singular_count)
+                == (clamped.singular_count, clamped.near_singular_count))
+
+    def test_the_base_law_declares_it_unimplemented(self):
+        law = ControlLaw()
+        with pytest.raises(NotImplementedError):
+            law.control_clamped(np.zeros(2))
+        with pytest.raises(NotImplementedError):
+            law.step(np.zeros(2), 0.0, 0.0, 1e-3)
 
 
 class TestTransformConsistency:
