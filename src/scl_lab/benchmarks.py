@@ -26,7 +26,6 @@ from .decomposition import CompositeLaw, example_decomposition
 from .metrics import PerformanceReport, report
 from .numerics import CareProblem, DEFAULT_DT, solve_care
 from .plants import (
-    EX2_C,
     EXAMPLES,
     PlantModel,
     Scenario,
@@ -91,10 +90,9 @@ def _law(example: str, method: str, plant: PlantModel,
     """The law of one valid benchmark cell, built on that cell's plant
     and scenario: the one place a cell's controller is chosen."""
     dec = example_decomposition(plant, scenario)
-    if example == "ex1":
-        return CompositeLaw(dec, PidTrackingLaw(PID_EX1, lambda xp: float(xp[0])))
-    if example == "ex2":
-        pid = PidTrackingLaw(PID_EX2, lambda x: float(EX2_C @ x))
+    if example != "ex3":
+        pid = PidTrackingLaw(PID_EX1 if example == "ex1" else PID_EX2,
+                             lambda x: float(plant.output(x)[0]))
         return CompositeLaw(dec, pid) if method == "sclc" else pid
     if method == "sclc":
         return CompositeLaw(dec, LqrLaw(lqr_gain(dec.A1, dec.B1)),

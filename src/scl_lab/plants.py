@@ -317,13 +317,14 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     rec_xhs = np.empty((N, n))
     rec_yd = np.empty(N)
 
-    if law.stage_feedback and lag == 0:
-        def rate(tau, xi):
+    stage_fed = law.stage_feedback and lag == 0
+
+    def rate(tau, xi):
+        # rk4_step's first stage is the sampled x, whose command u_applied holds.
+        if stage_fed and xi is not x:
             u = law.control_clamped(xi)
             return plant.field(tau, xi, sat(u) if sat is not None else u, d_vec)
-    else:
-        def rate(tau, xi):
-            return plant.field(tau, xi, u_applied, d_vec)
+        return plant.field(tau, xi, u_applied, d_vec)
 
     divergence_time = None
     rows = 0

@@ -25,6 +25,7 @@ from scl_lab.benchmarks import (
     lqr_gain,
 )
 from scl_lab.controllers import (
+    NEAR_SINGULAR,
     AdrcLaw,
     BacksteppingSecondary,
     FlcEx3,
@@ -131,7 +132,7 @@ def test_set_up_imports_no_scipy():
 
 # (singular, near-singular) counts of the first 2 s; every other cell
 # has none.
-GUARD_COUNTS = {("flc", "ii"): (0, 10), ("rflc", "ii"): (0, 6),
+GUARD_COUNTS = {("flc", "ii"): (0, 8), ("rflc", "ii"): (0, 5),
                 ("rflc", "iv"): (1, 25)}
 TRACE_ARRAYS = ("t", "x", "u_cmd", "u_applied", "u_p", "u_s", "xhat_p",
                 "xhat_s", "y", "y_d", "sat_active")
@@ -151,6 +152,30 @@ def test_a_reused_law_reruns_bit_for_bit(example, method, scenario):
     assert counts == GUARD_COUNTS.get((method, scenario), (0, 0))
     assert (second.diverged, second.singular_events,
             second.near_singular_events) == (first.diverged, *counts)
+
+
+@pytest.mark.parametrize("method", ["flc", "rflc"])
+def test_stage_fed_law_is_evaluated_once_per_state(method):
+    # The sample's command drives RK4's first stage, so a delay-free
+    # stage-fed run evaluates the law at each sample and at stages 2-4
+    # only, never twice on one state, and its guard counts each
+    # evaluated state once.
+    setup = build_run("ex3", method, "ii")
+    law, clamped = setup.law, setup.law.control_clamped
+    states, near = [], []
+
+    def counting(x):
+        states.append(x)
+        near.append(abs(1.0 + math.cos(x[1])) < NEAR_SINGULAR)
+        return clamped(x)
+
+    law.control_clamped = counting
+    trace = simulate(setup.plant, law, setup.scenario, t_end=2.0)
+    steps = len(trace) - 1
+    assert not trace.diverged and steps == 2000
+    assert len(states) == 4 * steps + 1
+    assert len({id(x) for x in states}) == len(states)
+    assert trace.near_singular_events == sum(near) == GUARD_COUNTS[(method, "ii")][1]
 
 
 def test_table1_cells_in_shuffled_order_match_the_pins():
@@ -210,3 +235,28 @@ def test_stage_feedback_realizes_the_continuous_closed_loop(bench, method):
     cell = bench.table().cells[("i", method)]
     assert cell.iae == pytest.approx(integral(y), rel=1e-6, abs=0)
     assert cell.itae == pytest.approx(integral(lambda t: t * y(t)), rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("scenario", ["i", "iii"])
+@pytest.mark.parametrize("method", ["jlc", "flc", "rflc"])
+def test_stage_fed_cell_matches_an_adaptive_reference(bench, method, scenario):
+    # A delay-free stage-fed cell integrates the continuous closed loop
+    # x' = f(t, x, u(x), d), so DOP853 on that loop, with IAE and ITAE
+    # as two extra states, reproduces every converged one.
+    setup = build_run("ex3", method, scenario)
+    plant, law, sc = setup.plant, setup.law, setup.scenario
+    d = sc.disturbance(plant.n)
+
+    def rate(t, z):
+        x = z[:plant.n]
+        e = abs(sc.ref(t) - x[0])
+        return np.concatenate((plant.field(t, x, law.control_clamped(x), d), [e, t * e]))
+
+    z0 = np.concatenate((sc.x0, [0.0, 0.0]))
+    sol = scipy.integrate.solve_ivp(rate, (0.0, sc.t_end), z0, method="DOP853",
+                                    rtol=1e-11, atol=1e-12)
+    assert sol.success
+    cell = bench.table().cells[(scenario, method)]
+    assert cell.classification == "converged"
+    assert cell.iae == pytest.approx(sol.y[-2, -1], rel=1e-6, abs=0)
+    assert cell.itae == pytest.approx(sol.y[-1, -1], rel=1e-6, abs=0)

@@ -256,6 +256,29 @@ class TestObserver:
         assert dev > 1e-4
         assert dev == pytest.approx(sequential_replay(setup.law.dec, trace), rel=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(record=observer_records(), data=st.data())
+    def test_perturbed_record_replays_to_the_sequential_deviation(self, record, data):
+        # A record that is not faithful is re-integrated one ``advance``
+        # at a time, as the reference is, so the two agree bit for bit.
+        dec, x, u, u_s, dt, chunk = record
+        xhat_s = step_estimates(dec, x, u, u_s, dt)
+        row = data.draw(st.integers(0, len(x) - 1))
+        xhat_s[row] += data.draw(st.floats(-1.0, 1.0).filter(bool))
+        trace = recorded(x, u, u_s, xhat_s, dt)
+        with mock.patch.object(decomposition, "REPLAY_CHUNK", chunk):
+            assert replay_observer(dec, trace) == sequential_replay(dec, trace)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_estimate_replays_to_a_non_finite_deviation(self, bad):
+        # The signals are finite, so every replayed update is: the
+        # recorded estimate is what is off, and no tolerance accepts it.
+        setup = build_run("ex3", "sclc", "i")
+        trace = simulate(setup.plant, setup.law, setup.scenario, dt=1e-3,
+                         t_end=0.1)
+        trace.xhat_s[40, 0] = bad
+        assert not math.isfinite(replay_observer(setup.law.dec, trace))
+
     def test_replay_refuses_a_trace_of_other_widths(self):
         setup = build_run("ex2", "sclc")
         trace = simulate(setup.plant, setup.law, setup.scenario, t_end=0.01)
