@@ -69,9 +69,11 @@ class Decomposition:
         simulation conventions).  A non-finite update raises
         NonFiniteState at t=0, since the model has no clock; callers
         re-raise it at the step time."""
-        drive = (self.model_field(0.0, x, u) - matvec(self.A1, x)
-                 + matvec(self.B1, u_s - u))
-        return rk4_step(lambda _t, xs: matvec(self.A1, xs) + drive, 0.0, xhat_s, dt)
+        A1 = self.A1
+        drive = self.model_field(0.0, x, u) - matvec(A1, x) + matvec(self.B1, u_s - u)
+        if xhat_s.ndim == 1:  # matvec's one-vector form at each stage
+            return rk4_step(lambda _t, xs: A1.dot(xs) + drive, 0.0, xhat_s, dt)
+        return rk4_step(lambda _t, xs: matvec(A1, xs) + drive, 0.0, xhat_s, dt)
 
 
 def make_decomposition(plant: PlantModel) -> Decomposition:

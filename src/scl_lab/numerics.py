@@ -130,12 +130,19 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     k1 = f(t, x)
     if x.ndim == 1 and x.dtype is k1.dtype is _FLOAT64 and k1.shape == x.shape:
         x0, k1 = x.tolist(), k1.tolist()
-        k2 = f(t + h, np.array([a + h * k for a, k in zip(x0, k1)])).tolist()
-        k3 = f(t + h, np.array([a + h * k for a, k in zip(x0, k2)])).tolist()
-        k4 = f(t + dt, np.array([a + dt * k for a, k in zip(x0, k3)])).tolist()
         w = dt / 6.0
-        out = [a + w * (p + 2.0 * q + 2.0 * r + s)
-               for a, p, q, r, s in zip(x0, k1, k2, k3, k4)]
+        if len(x0) == 1:  # the same sums, without a comprehension per stage
+            (a,), (p,) = x0, k1
+            (q,) = f(t + h, np.array([a + h * p])).tolist()
+            (r,) = f(t + h, np.array([a + h * q])).tolist()
+            (s,) = f(t + dt, np.array([a + dt * r])).tolist()
+            out = [a + w * (p + 2.0 * q + 2.0 * r + s)]
+        else:
+            k2 = f(t + h, np.array([a + h * k for a, k in zip(x0, k1)])).tolist()
+            k3 = f(t + h, np.array([a + h * k for a, k in zip(x0, k2)])).tolist()
+            k4 = f(t + dt, np.array([a + dt * k for a, k in zip(x0, k3)])).tolist()
+            out = [a + w * (p + 2.0 * q + 2.0 * r + s)
+                   for a, p, q, r, s in zip(x0, k1, k2, k3, k4)]
         if not all(map(math.isfinite, out)):
             raise NonFiniteState(t, "RK4 update")
         return np.array(out)

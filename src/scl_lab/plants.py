@@ -1,9 +1,9 @@
 """Benchmark plants, scenarios, input blocks, and the closed-loop harness.
 
-The ex3 fields index components as ``x.T[k]``: float64 scalars on one
-state, which skip the per-call array dispatch of a single-lane step, and
-the ``(B,)`` columns on a batch.  Each field adds its disturbance last
-(README, simulation conventions).
+The ex1 and ex3 fields index components as ``x.T[k]``: float64 scalars
+on one state, which skip the per-call array dispatch of a single-lane
+step, and the ``(B,)`` columns on a batch.  Each field adds its
+disturbance last (README, simulation conventions).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .numerics import (
     DEFAULT_DT,
     DIVERGENCE_LIMIT,
     NonFiniteState,
+    _FLOAT64,
     as_vector,
     matvec,
     rk4_step,
@@ -148,7 +149,8 @@ class SimulationTrace:
 # --- Example plants -------------------------------------------------------
 
 def _ex1_field(t, x, u, d):
-    return -4.0 * x + x * u + d
+    x1 = x.T[0]
+    return (-4.0 * x1 + x1 * u.T[0])[..., None] + d
 
 
 def _first_state(x):  # the output y = x1 of ex1 and ex3
@@ -317,14 +319,15 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
     rec_xhs = np.empty((N, n))
     rec_yd = np.empty(N)
 
+    field = plant.field
     stage_fed = law.stage_feedback and lag == 0
 
     def rate(tau, xi):
         # rk4_step's first stage is the sampled x, whose command u_applied holds.
         if stage_fed and xi is not x:
             u = law.control_clamped(xi)
-            return plant.field(tau, xi, sat(u) if sat is not None else u, d_vec)
-        return plant.field(tau, xi, u_applied, d_vec)
+            return field(tau, xi, sat(u) if sat is not None else u, d_vec)
+        return field(tau, xi, u_applied, d_vec)
 
     divergence_time = None
     rows = 0
@@ -332,8 +335,12 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         t = k * dt
         ref = scenario.ref(t)
         try:
-            u_cmd = as_vector(law.step(x, ref, t, dt), dim=m, name="u")
-            finite = all(map(math.isfinite, u_cmd))
+            u_cmd = law.step(x, ref, t, dt)
+            # A float64 (m,) array is what as_vector would return for it.
+            if not (type(u_cmd) is np.ndarray and u_cmd.dtype is _FLOAT64
+                    and u_cmd.shape == (m,)):
+                u_cmd = as_vector(u_cmd, dim=m, name="u")
+            finite = all(map(math.isfinite, u_cmd.tolist()))
         except NonFiniteState:  # raised by the law's own observer
             finite = False
         if not finite:

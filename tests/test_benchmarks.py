@@ -36,7 +36,7 @@ from scl_lab.controllers import (
 )
 from scl_lab.decomposition import CompositeLaw, make_decomposition
 from scl_lab.metrics import report
-from scl_lab.numerics import GridError
+from scl_lab.numerics import DIVERGENCE_LIMIT, GridError
 from scl_lab.plants import build_example3, simulate
 from test_golden import TABLE1
 
@@ -208,15 +208,15 @@ def test_table1_checks_every_grid_before_its_first_cell(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("method", ["flc", "rflc"])
-def test_stage_feedback_realizes_the_continuous_closed_loop(bench, method):
-    # In transformed coordinates z with z1 = x1 = y, the (i) closed loop
-    # of FLC and RFLC is linear, z' = (A - B K) z, so IAE and ITAE are
-    # integrals of |z1(t)| with z(t) = expm((A - B K) t) z0.  Stage
-    # feedback integrates that loop, not a sampled one: the table's
-    # cells match to the trapezoid rule's error.
+def expm_reference(method, scenario):
+    """The design's exact (IAE, ITAE) of an ex3 FLC or RFLC cell.
+
+    In transformed coordinates z with z1 = x1 = y, the closed loop of
+    FLC and RFLC is linear, z' = (A - B K) z, so IAE and ITAE are
+    integrals of |z1(t)| with z(t) = expm((A - B K) t) z0.
+    """
     plant, scenarios = build_example3()
-    sc = scenarios[0]
+    sc = scenarios[SCENARIOS_EX3.index(scenario)]
     x1, x2 = sc.x0
     if method == "flc":
         (A, B), z2 = FLC_DESIGN, x2 + math.sin(x2)
@@ -232,17 +232,12 @@ def test_stage_feedback_realizes_the_continuous_closed_loop(bench, method):
         return scipy.integrate.quad(f, 0.0, sc.t_end, limit=200,
                                     epsabs=1e-12, epsrel=1e-12)[0]
 
-    cell = bench.table().cells[("i", method)]
-    assert cell.iae == pytest.approx(integral(y), rel=1e-6, abs=0)
-    assert cell.itae == pytest.approx(integral(lambda t: t * y(t)), rel=1e-6, abs=0)
+    return integral(y), integral(lambda t: t * y(t))
 
 
-@pytest.mark.parametrize("scenario", ["i", "iii"])
-@pytest.mark.parametrize("method", ["jlc", "flc", "rflc"])
-def test_stage_fed_cell_matches_an_adaptive_reference(bench, method, scenario):
-    # A delay-free stage-fed cell integrates the continuous closed loop
-    # x' = f(t, x, u(x), d), so DOP853 on that loop, with IAE and ITAE
-    # as two extra states, reproduces every converged one.
+def dop853_reference(method, scenario, rtol=1e-11, atol=1e-12, events=None):
+    """scipy's DOP853 on the continuous closed loop x' = f(t, x, u(x), d)
+    of an ex3 cell, with IAE and ITAE as two extra states."""
     setup = build_run("ex3", method, scenario)
     plant, law, sc = setup.plant, setup.law, setup.scenario
     d = sc.disturbance(plant.n)
@@ -253,10 +248,57 @@ def test_stage_fed_cell_matches_an_adaptive_reference(bench, method, scenario):
         return np.concatenate((plant.field(t, x, law.control_clamped(x), d), [e, t * e]))
 
     z0 = np.concatenate((sc.x0, [0.0, 0.0]))
-    sol = scipy.integrate.solve_ivp(rate, (0.0, sc.t_end), z0, method="DOP853",
-                                    rtol=1e-11, atol=1e-12)
+    return scipy.integrate.solve_ivp(rate, (0.0, sc.t_end), z0, method="DOP853",
+                                     rtol=rtol, atol=atol, events=events)
+
+
+@pytest.mark.parametrize("method", ["flc", "rflc"])
+def test_stage_feedback_realizes_the_continuous_closed_loop(bench, method):
+    # Stage feedback integrates the design's loop, not a sampled one: the
+    # table's (i) cells match its closed form to the trapezoid rule's error.
+    iae, itae = expm_reference(method, "i")
+    cell = bench.table().cells[("i", method)]
+    assert cell.iae == pytest.approx(iae, rel=1e-6, abs=0)
+    assert cell.itae == pytest.approx(itae, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("scenario", ["i", "iii"])
+@pytest.mark.parametrize("method", ["jlc", "flc", "rflc"])
+def test_stage_fed_cell_matches_an_adaptive_reference(bench, method, scenario):
+    # A delay-free stage-fed cell integrates the continuous closed loop,
+    # so DOP853 on that loop reproduces every converged one.
+    sol = dop853_reference(method, scenario)
     assert sol.success
     cell = bench.table().cells[(scenario, method)]
     assert cell.classification == "converged"
     assert cell.iae == pytest.approx(sol.y[-2, -1], rel=1e-6, abs=0)
     assert cell.itae == pytest.approx(sol.y[-1, -1], rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("method", ["flc", "rflc"])
+def test_adaptive_reference_crosses_the_singular_spike_as_the_design_does(method):
+    # On (ii) the fixed-step loop through the 1 + cos x2 = 0 spike does
+    # not converge in dt (README, reproduction accuracy), but DOP853 does:
+    # it equals the closed form, which checks the reference itself.
+    sol = dop853_reference(method, "ii")
+    assert sol.success
+    iae, itae = expm_reference(method, "ii")
+    assert sol.y[-2, -1] == pytest.approx(iae, rel=1e-6, abs=0)
+    assert sol.y[-1, -1] == pytest.approx(itae, rel=1e-6, abs=0)
+
+
+def test_jlc_ii_escapes_in_the_adaptive_reference_within_the_librarys_last_step(bench):
+    # JLC (ii) escapes in finite time through the 2 x2^2 term.  As x2
+    # grows, sin x2 oscillates ever faster, so DOP853 at the tolerances
+    # above takes about 4e5 field calls to reach the library's divergence
+    # bound; the escape time itself is the same to 7 digits at rtol 1e-8.
+    def escaped(t, z):
+        return DIVERGENCE_LIMIT - np.abs(z[:2]).max()
+
+    escaped.terminal = True
+    sol = dop853_reference("jlc", "ii", rtol=1e-8, atol=1e-10, events=escaped)
+    assert sol.status == 1
+    (t_escape,) = sol.t_events[0]
+    trace, rep = bench.cell("ex3", "jlc", "ii")
+    assert rep.classification == "unstable"
+    assert trace.divergence_time - trace.dt < t_escape <= trace.divergence_time < 10.0

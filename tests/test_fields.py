@@ -1,12 +1,13 @@
 """The plant fields, the observer step, the linear products and the
 harness's batched output keep their bits.
 
-``_ex3_field`` and ``_ex3_remainder`` index components as ``x.T[k]`` and
-write through one ``out.T`` view of a preallocated output; the ex1 field
-and remainder are whole-array expressions on the ``(..., 1)`` arrays.
-The references below are the ``np.stack`` and ``[..., 0]`` forms they
-replaced; the new forms must equal them bit for bit, on one state and on
-a batch, and lane k of a batch must equal the single call on lane k.
+``_ex1_field``, ``_ex3_field`` and ``_ex3_remainder`` index components
+as ``x.T[k]``; the ex3 forms write through one ``out.T`` view of a
+preallocated output, and the ex1 remainder is a whole-array expression
+on the ``(..., 1)`` arrays.  The references below are the ``np.stack``
+and ``[..., 0]`` forms they replaced; the new forms must equal them bit
+for bit, on one state and on a batch, and lane k of a batch must equal
+the single call on lane k.
 The same per-lane identity holds for the ex1 and ex2 fields and for
 ``Decomposition.advance`` on every shipped model, which is what lets
 ``replay_observer`` batch the run's observer steps and still find them

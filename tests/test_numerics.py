@@ -147,6 +147,23 @@ class TestRk4OneVector:
         else:
             assert batch == [single] * 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_component_has_the_bits_of_each_zipped_component(self, data):
+        # A one-component state unpacks its floats; a longer one zips
+        # them.  Under an elementwise field, component k of the zipped
+        # step is the unpacked step of component k.  The values keep
+        # every step finite, so each example compares four components.
+        elements = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, -5e-324]))
+        c, d, x = (data.draw(hnp.arrays(np.float64, 4, elements=elements))
+                   for _ in range(3))
+        t = data.draw(st.floats(-1e3, 1e3))
+        dt = data.draw(st.floats(1e-6, 1.0))
+        zipped = rk4_step(lambda _t, xi: c * xi + d, t, x, dt)
+        ones = [rk4_step(lambda _t, xi, k=k: c[k:k + 1] * xi + d[k:k + 1],
+                         t, x[k:k + 1], dt) for k in range(4)]
+        assert np.concatenate(ones).tobytes() == zipped.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(case=affine_rk4_cases())
     def test_returns_a_fresh_float64_vector(self, case):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scl_lab.benchmarks import build_run
 from scl_lab.controllers import ControlLaw, ZeroLaw
 from scl_lab.metrics import report
-from scl_lab.numerics import GridError, eigenvalues, is_hurwitz
+from scl_lab.numerics import GridError, as_vector, eigenvalues, is_hurwitz
 from scl_lab.plants import (
     EX2_A,
     EX2_B,
@@ -317,6 +317,90 @@ class TestHarness:
         plant, sc = build_example1()
         with pytest.raises(ValueError):
             simulate(plant, ZeroLaw(), sc, dt=3e-4, t_end=1.0)
+
+
+class FixedCommandLaw(ControlLaw):
+    """Returns the same object every step and keeps what ``channels`` got."""
+
+    def __init__(self, command):
+        self.command = command
+        self.seen = []
+
+    def step(self, x, ref, t, dt):
+        return self.command
+
+    def channels(self, u):
+        self.seen.append(u)
+        return u, 0.0, 0.0
+
+
+class TestCommandContract:
+    """simulate takes a float64 (m,) array as the law returned it and
+    sends any other command through as_vector, so both sides record the
+    same float64 rows."""
+
+    REST = Scenario(label="rest", x0=np.zeros(2), t_end=0.01)
+
+    @pytest.mark.parametrize("command", [
+        0.75, [0.75], np.array([0.75], dtype=np.float32), np.array([3]),
+        np.array(0.75), np.float64(0.75)],
+        ids=["float", "list", "float32", "int", "0-d", "numpy-scalar"])
+    def test_other_commands_record_what_as_vector_gives(self, command):
+        law = FixedCommandLaw(command)
+        trace = simulate(build_example3()[0], law, self.REST, dt=1e-3)
+        expected = as_vector(command, dim=1, name="u")
+        assert expected.dtype == np.float64 and len(trace) == 11
+        assert trace.u_cmd.tobytes() == np.tile(expected, (11, 1)).tobytes()
+        assert all(type(u) is np.ndarray and u.dtype == np.float64
+                   and u.shape == (1,) and u is not command for u in law.seen)
+
+    def test_a_float64_vector_is_taken_as_it_is(self):
+        command = np.array([0.75])
+        law = FixedCommandLaw(command)
+        trace = simulate(build_example3()[0], law, self.REST, dt=1e-3)
+        assert all(u is command for u in law.seen) and len(law.seen) == 11
+        assert trace.u_cmd.tobytes() == np.full((11, 1), 0.75).tobytes()
+
+    @pytest.mark.parametrize("command, message", [
+        (np.array([1.0, 2.0]), "u must have dimension 1, got 2"),
+        ([1.0, 2.0], "u must have dimension 1, got 2"),
+        (np.zeros((1, 1)), "u must be a 1-D vector"),
+        (np.array([], dtype=np.float64), "u must have dimension 1, got 0")])
+    def test_a_command_of_the_wrong_shape_raises(self, command, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            simulate(build_example3()[0], FixedCommandLaw(command), self.REST)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap", [
+        lambda v: np.array([v]), lambda v: v, lambda v: np.array([v], np.float32)],
+        ids=["float64", "float", "float32"])
+    def test_a_non_finite_command_ends_the_run_at_its_sample(self, bad, wrap):
+        class BadFromFifth(ControlLaw):
+            def step(self, x, ref, t, dt):
+                return wrap(bad if t >= 0.0045 else 0.5)
+
+        trace = simulate(build_example3()[0], BadFromFifth(), self.REST, dt=1e-3)
+        assert len(trace) == 5 and trace.diverged
+        assert trace.divergence_time == 5e-3
+        assert np.isfinite(trace.u_cmd).all() and (trace.u_cmd == 0.5).all()
+
+    @pytest.mark.parametrize("delay", [0.0, 3e-3])
+    def test_a_law_that_reuses_one_buffer_records_each_steps_value(self, delay):
+        class OneBuffer(ControlLaw):
+            def reset(self):
+                self.buf = np.zeros(1)
+
+            def step(self, x, ref, t, dt):
+                self.buf[0] = 1.0 + t
+                return self.buf
+
+        sc = dataclasses.replace(self.REST, input_delay=delay)
+        trace = simulate(build_example3()[0], OneBuffer(), sc, dt=1e-3)
+        expected = 1.0 + trace.t
+        assert trace.u_cmd[:, 0].tobytes() == expected.tobytes()
+        lag = round(delay / 1e-3)
+        applied = np.concatenate((np.zeros(lag), expected))[:len(trace)]
+        assert trace.u_applied[:, 0].tobytes() == applied.tobytes()
 
 
 # Saturated, delayed, and neither: the columns simulate derives after
