@@ -221,6 +221,11 @@ def replay_observer(dec: Decomposition, trace) -> float:
 
 # --- Decomposition exactness (x = xp + xs) --------------------------------
 
+# Steps of the exactness sweep whose inputs and defects are evaluated
+# together; bounds its input table and state buffer whatever the horizon.
+EXACTNESS_CHUNK = 128
+
+
 def decomposition_deviation(dec: Decomposition, inputs, d, x0,
                             t_end: float, dt: float) -> np.ndarray:
     """Worst deviation |x - (xp + xs)|_inf per lane of the original,
@@ -228,26 +233,23 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
     shared input split, so the deviation is free of integration error.
     It certifies ``remainder_field`` when there is one (README,
     ``lemma1-check``), else the generic f - A1 xp - B1 up.  ``x0`` is one
-    state (n,) or lanes (B, n); ``inputs(t)`` returns ``(u, u_p)`` as
-    (B, m) arrays, once per stage time (the midpoint stages share one).
-    The disturbance ``d`` (n,) enters the original and primary systems.
+    state (n,) or lanes (B, n).  ``inputs(times)`` takes a 1-D array of
+    stage times and returns ``(u, u_p)`` shaped (len(times), B, m); it is
+    called once per chunk of EXACTNESS_CHUNK steps, on the floats
+    ``rk4_step`` passes (k dt, k dt + dt/2 and k dt + dt for each step k),
+    each once, and a chunk's defects are reduced together.  The
+    disturbance ``d`` (n,) enters the original and primary systems.
     """
     x0 = as_matrix(np.atleast_2d(x0), cols=dec.n, name="x0")
     d = as_vector(d, dim=dec.n, name="d")
     batch, n = x0.shape
     A1_T, B1_T = dec.A1.T, dec.B1.T
-    last = {}
 
     def combined_rate(t, z):
         x = z[..., :n]
         xp = z[..., n:2 * n]
         xs = z[..., 2 * n:]
-        if t not in last:
-            # The input-only terms, kept with the inputs they come from.
-            u, up = inputs(t)
-            last.clear()
-            last[t] = u, up @ B1_T, u - up
-        u, up_B1, us = last[t]
+        u, up_B1, us = stage[t]
         fx = dec.model_field(t, x, u)
         lin = xp @ A1_T + up_B1
         if dec.remainder_field is not None:
@@ -256,15 +258,32 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
             ds = fx - lin
         return np.concatenate((fx + d, lin + d, ds), axis=-1)
 
+    steps = step_count(0.0, t_end, dt)
     z = np.concatenate((x0, x0, np.zeros_like(x0)), axis=-1)
     worst = np.zeros(batch)
     # A diverging lane overflows before rk4_step's NonFiniteState stops
     # the sweep; that error is the report, so numpy's warnings are muted.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(step_count(0.0, t_end, dt)):
-            z = rk4_step(combined_rate, k * dt, z, dt)
-            defect = np.abs(z[..., :n] - z[..., n:2 * n] - z[..., 2 * n:]).max(axis=-1)
-            worst = np.maximum(worst, defect)
+        for start in range(0, steps, EXACTNESS_CHUNK):
+            ks = range(start, min(start + EXACTNESS_CHUNK, steps))
+            t0 = np.array(ks) * dt
+            times = list(dict.fromkeys(
+                np.concatenate((t0, t0 + 0.5 * dt, t0 + dt)).tolist()))
+            u, up = inputs(np.array(times))
+            shape = (len(times), batch, dec.m)
+            if np.shape(u) != shape or np.shape(up) != shape:
+                raise ValueError(f"inputs(times) must return (u, u_p) shaped "
+                                 f"(len(times), B, m) = {shape}, got "
+                                 f"{np.shape(u)} and {np.shape(up)}")
+            # The input-only terms of every stage, keyed by its time.
+            stage = dict(zip(times, zip(u, up @ B1_T, u - up)))
+            states = []
+            for k in ks:
+                z = rk4_step(combined_rate, k * dt, z, dt)
+                states.append(z)
+            zs = np.stack(states)
+            defect = np.abs(zs[..., :n] - zs[..., n:2 * n] - zs[..., 2 * n:])
+            worst = np.maximum(worst, defect.max(axis=(0, 2)))
     return worst
 
 
@@ -303,8 +322,9 @@ def _exactness_deviation(example: str, draws, dt: float) -> np.ndarray:
     dec = example_decomposition(plant, sc)
     a, w, phi, split = draws
 
-    def inputs(t):
-        u = (a * np.sin(w * t + phi)).sum(axis=1, keepdims=True)
+    def inputs(times):
+        t = times[:, None, None]
+        u = (a * np.sin(w * t + phi)).sum(axis=-1, keepdims=True)
         return u, split * u
 
     return decomposition_deviation(dec, inputs, sc.disturbance(dec.n),

@@ -369,10 +369,13 @@ class TestCompositeLaw:
 
 def one_signal(u_of_t, up_of_t=None):
     """``decomposition_deviation`` inputs for one lane: the signal and its
-    primary part, the whole signal unless ``up_of_t`` is given."""
-    def inputs(t):
-        u = np.array([u_of_t(t)], dtype=float)
-        return u, u if up_of_t is None else np.array([up_of_t(t)], dtype=float)
+    primary part, the whole signal unless ``up_of_t`` is given, at each
+    stage time."""
+    def inputs(times):
+        u = np.array([[u_of_t(t)] for t in times.tolist()], dtype=float)
+        if up_of_t is None:
+            return u, u
+        return u, np.array([[up_of_t(t)] for t in times.tolist()], dtype=float)
     return inputs
 
 
@@ -441,6 +444,56 @@ SWEEP_DT = 0.01
 # sha256 of the 60 case reprs at SWEEP_DT, one per line, as the serial
 # sweep gave them before its ex2 share moved to a worker.
 SWEEP_SHA256 = "07d2c712a42ff00fae7ea0cbc305d64acce7c704fff1be0338850d3a3193998f"
+
+
+class TestExactnessChunks:
+    # The sweep evaluates its inputs and reduces its defects once per
+    # chunk of EXACTNESS_CHUNK steps.
+
+    @pytest.mark.parametrize("example", decomposition.EXAMPLES)
+    def test_chunk_size_moves_no_bit(self, example):
+        draws = decomposition._draw_inputs(np.random.default_rng(20240811), 20)
+        default = decomposition._exactness_deviation(example, draws, SWEEP_DT)
+        for chunk in (1, 7):
+            with mock.patch.object(decomposition, "EXACTNESS_CHUNK", chunk):
+                dev = decomposition._exactness_deviation(example, draws, SWEEP_DT)
+            assert dev.tobytes() == default.tobytes(), chunk
+
+    @pytest.mark.parametrize("chunk", [1, 7, 128])
+    def test_inputs_run_once_per_chunk_on_each_stage_time(self, chunk):
+        # 50 steps; each call gets the chunk's stage times, each once, and
+        # together they are the floats rk4_step passes, k dt + 0, dt/2, dt.
+        dt, steps = 0.01, 50
+        signal = one_signal(lambda t: [math.sin(t)])
+        calls = []
+
+        def counting(times):
+            calls.append(times.tolist())
+            return signal(times)
+
+        with mock.patch.object(decomposition, "EXACTNESS_CHUNK", chunk):
+            decomposition_deviation(make_decomposition(linear_plant()), counting,
+                                    d=[0.0, 0.0], x0=[1.0, -1.0], t_end=steps * dt,
+                                    dt=dt)
+        assert len(calls) == math.ceil(steps / chunk)
+        assert all(len(set(times)) == len(times) for times in calls)
+        stage_times = {k * dt + h for k in range(steps) for h in (0.0, 0.5 * dt, dt)}
+        assert {t for times in calls for t in times} == stage_times
+
+    @pytest.mark.parametrize("shape", [lambda T: (2, 1), lambda T: (T, 2),
+                                       lambda T: (T, 2, 2), lambda T: (T + 1, 2, 1)],
+                             ids=("lanes-only", "no-lanes", "wide", "long"))
+    @pytest.mark.parametrize("which", ["u", "u_p"])
+    def test_inputs_of_another_shape_are_refused(self, shape, which):
+        def wrong(times):
+            good = np.zeros((len(times), 2, 1))
+            bad = np.zeros(shape(len(times)))
+            return (bad, good) if which == "u" else (good, bad)
+
+        with pytest.raises(ValueError, match=r"\(len\(times\), B, m\) = \(\d+, 2, 1\)"):
+            decomposition_deviation(make_decomposition(linear_plant()), wrong,
+                                    d=[0.0, 0.0], x0=[[1.0, -1.0], [0.5, 0.5]],
+                                    t_end=0.05, dt=0.01)
 
 
 def usable_cpus(monkeypatch, count):
