@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonFiniteState, as_matrix, as_vector, rk4_affine
+from .numerics import NonFiniteState, as_matrix, as_vector, matvec, rk4_affine
 
 # Feedback-linearizing input transforms are declared singular when the
 # denominator magnitude drops below this.
@@ -145,8 +145,8 @@ class LqrLaw(ControlLaw):
         self._minus_K = -self.K
 
     def control(self, x):
-        # -K @ x by matvec's one-vector form, inlined; negating K is exact.
-        return self._minus_K.dot(x)
+        # Negating K is exact; -matvec(K, x) can flip the sign of a zero.
+        return matvec(self._minus_K, x)
 
     control_clamped = control
 
@@ -326,7 +326,7 @@ class AdrcLaw(ControlLaw):
             c = np.array([3.0 * w0 * y_prev,
                           3.0 * w0 ** 2 * y_prev + self.b * u_prev,
                           w0 ** 3 * y_prev])
-            xhat = T.dot(self.xhat) + S.dot(c)
+            xhat = matvec(T, self.xhat) + matvec(S, c)
             if not np.isfinite(xhat).all():
                 raise NonFiniteState(t - dt, "RK4 update")
             self.xhat = xhat

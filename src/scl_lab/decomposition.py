@@ -16,6 +16,7 @@ import numpy as np
 
 from .controllers import ControlLaw, ZeroLaw
 from .numerics import (
+    DEFAULT_DT,
     NonFiniteState,
     as_matrix,
     as_vector,
@@ -63,17 +64,14 @@ class Decomposition:
         self.A1 = as_matrix(self.A1, rows=self.n, cols=self.n, name="A1")
         self.B1 = as_matrix(self.B1, rows=self.n, cols=self.m, name="B1")
 
-    def advance(self, xhat_s, x, u, u_s, dt: float) -> np.ndarray:
-        """The remainder estimate one RK4 step after ``xhat_s``, with
-        (x, u, u_s) held constant; pure, and batched row for row (README,
-        simulation conventions).  A non-finite update raises
-        NonFiniteState at t=0, since the model has no clock; callers
-        re-raise it at the step time."""
+    def advance(self, xhat_s, x, u, u_s, t: float, dt: float) -> np.ndarray:
+        """The remainder estimate one RK4 step after ``xhat_s``, taken
+        from the sample time ``t`` with (x, u, u_s) held constant; pure,
+        and batched row for row (README, simulation conventions).  A
+        non-finite update raises NonFiniteState at ``t``."""
         A1 = self.A1
-        drive = self.model_field(0.0, x, u) - matvec(A1, x) + matvec(self.B1, u_s - u)
-        if xhat_s.ndim == 1:  # matvec's one-vector form at each stage
-            return rk4_step(lambda _t, xs: A1.dot(xs) + drive, 0.0, xhat_s, dt)
-        return rk4_step(lambda _t, xs: matvec(A1, xs) + drive, 0.0, xhat_s, dt)
+        drive = self.model_field(t, x, u) - matvec(A1, x) + matvec(self.B1, u_s - u)
+        return rk4_step(lambda _t, xs: matvec(A1, xs) + drive, t, xhat_s, dt)
 
 
 def make_decomposition(plant: PlantModel) -> Decomposition:
@@ -139,9 +137,9 @@ class CompositeLaw(ControlLaw):
     ``reset``); ``dec`` is only the model it integrates.  The secondary
     provides ``u_s(x, xhat_s)`` and ``reset()``, and defaults to
     ``ZeroLaw(m)``.  The emitted input is exactly u_p + u_s.  Each step
-    first advances the estimate on the previous step's (x, u, u_s), so
-    the loop stays causal.  ``step`` takes the (n,) float state the
-    harness passes, unchecked; the harness checks the emitted sum.
+    first advances the estimate from the previous step's time on its
+    (x, u, u_s), so the loop stays causal.  ``step`` takes the (n,) float
+    state the harness passes, unchecked; the harness checks the sum.
     """
 
     name = "sclc"
@@ -154,15 +152,12 @@ class CompositeLaw(ControlLaw):
 
     def step(self, x, ref, t, dt):
         if self._prev is not None:
-            try:
-                self.xhat_s = self.dec.advance(self.xhat_s, *self._prev, dt)
-            except NonFiniteState as exc:
-                raise NonFiniteState(t - dt, "RK4 update") from exc
+            self.xhat_s = self.dec.advance(self.xhat_s, *self._prev, dt)
         xhat_s = self.xhat_s
         u_p = self.primary.step(x - xhat_s, ref, t, dt)
         u_s = self.secondary.u_s(x, xhat_s)
         u = u_p + u_s
-        self._prev = (x.copy(), u.copy(), u_s.copy())
+        self._prev = (x.copy(), u.copy(), u_s.copy(), t)
         self._channels = (u_p, u_s, xhat_s)
         return u
 
@@ -203,7 +198,7 @@ def replay_observer(dec: Decomposition, trace) -> float:
         # A non-finite row only ends the pass; the re-integration reports it.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if not any((dec.advance(xhat[c], x[c], u[c], u_s[c], dt)
+                if not any((dec.advance(xhat[c], x[c], u[c], u_s[c], c.start * dt, dt)
                             != xhat[c.start + 1:c.stop + 1]).any() for c in chunks):
                     return 0.0
         except NonFiniteState:
@@ -211,10 +206,7 @@ def replay_observer(dec: Decomposition, trace) -> float:
     est = np.zeros(dec.n)
     worst = np.abs(xhat[0]).max()
     for k in range(rows - 1):
-        try:
-            est = dec.advance(est, x[k], u[k], u_s[k], dt)
-        except NonFiniteState as exc:
-            raise NonFiniteState(k * dt, "RK4 update") from exc
+        est = dec.advance(est, x[k], u[k], u_s[k], k * dt, dt)
         worst = np.maximum(worst, np.abs(est - xhat[k + 1]).max())
     return float(worst)
 
@@ -345,7 +337,7 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def exactness_suite(dt: float = 1e-3, n_inputs: int = 20,
+def exactness_suite(dt: float = DEFAULT_DT, n_inputs: int = 20,
                     seed: int = 20240811) -> List[ExactnessCase]:
     """Decomposition-exactness sweep over all example plants: the worst
     x - (xp + xs) defect of ``n_inputs`` random bounded inputs, each with

@@ -78,13 +78,19 @@ class GridError(ValueError):
     """The time step does not fit a run's span (see step_count)."""
 
 
+# numpy's own float64 dtype; as_vector and rk4_step test for it by identity.
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_vector(x, dim: Optional[int] = None, name: str = "x") -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"{name} must have dimension {dim}, got {v.shape[0]}")
-    return v
+    """``x`` as a 1-D float64 array; such an array comes back as it is."""
+    if not (type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
+    if dim is not None and x.shape[0] != dim:
+        raise ValueError(f"{name} must have dimension {dim}, got {x.shape[0]}")
+    return x
 
 
 def as_matrix(M, rows: Optional[int] = None, cols: Optional[int] = None,
@@ -108,10 +114,6 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return A.dot(x)
     return (A @ x[..., None])[..., 0]
-
-
-# numpy's own float64 dtype; other float64 dtypes take rk4_step's array form.
-_FLOAT64 = np.dtype(np.float64)
 
 
 def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from .numerics import (
     DEFAULT_DT,
     DIVERGENCE_LIMIT,
     NonFiniteState,
-    _FLOAT64,
     as_vector,
     matvec,
     rk4_step,
@@ -335,11 +334,7 @@ def simulate(plant: PlantModel, law, scenario: Scenario,
         t = k * dt
         ref = scenario.ref(t)
         try:
-            u_cmd = law.step(x, ref, t, dt)
-            # A float64 (m,) array is what as_vector would return for it.
-            if not (type(u_cmd) is np.ndarray and u_cmd.dtype is _FLOAT64
-                    and u_cmd.shape == (m,)):
-                u_cmd = as_vector(u_cmd, dim=m, name="u")
+            u_cmd = as_vector(law.step(x, ref, t, dt), dim=m, name="u")
             finite = all(map(math.isfinite, u_cmd.tolist()))
         except NonFiniteState:  # raised by the law's own observer
             finite = False

@@ -2,9 +2,10 @@ import time
 
 import pytest
 
-from scl_lab.benchmarks import run, table1
+from scl_lab.benchmarks import build_run, table1
 from scl_lab.decomposition import make_decomposition, make_decomposition_ex1
-from scl_lab.plants import build_example2, build_example3
+from scl_lab.metrics import report
+from scl_lab.plants import build_example2, build_example3, simulate
 
 # The remainder observer of each shipped example, for the observer tests
 # (``from conftest import OBSERVER_MODELS``).
@@ -23,11 +24,22 @@ class BenchmarkCache:
         self._table = None
         self.table_seconds = None
 
-    def cell(self, example, method, scenario=None):
+    def _run(self, example, method, scenario):
         key = (example, method, scenario)
         if key not in self._runs:
-            self._runs[key] = run(example, method, scenario=scenario)
+            # What benchmarks.run does, keeping the setup that ran.
+            setup = build_run(example, method, scenario)
+            trace = simulate(setup.plant, setup.law, setup.scenario)
+            self._runs[key] = (setup, trace, report(trace))
         return self._runs[key]
+
+    def cell(self, example, method, scenario=None):
+        """``(trace, report)`` of one cell, as ``benchmarks.run`` returns."""
+        return self._run(example, method, scenario)[1:]
+
+    def setup(self, example, method, scenario=None):
+        """The ``RunSetup`` whose law ran ``cell``."""
+        return self._run(example, method, scenario)[0]
 
     def table(self):
         if self._table is None:

@@ -26,9 +26,10 @@ from scl_lab.decomposition import (
     replay_observer,
     decomposition_deviation,
 )
-from scl_lab.numerics import NonFiniteState
+from scl_lab.numerics import NonFiniteState, rk4_step
 from scl_lab.plants import (
     PlantModel,
+    Scenario,
     SimulationTrace,
     build_example1,
     build_example2,
@@ -74,7 +75,7 @@ def step_estimates(dec, x, u, u_s, dt, start=0.0):
     xhat_s = np.zeros_like(x)
     xhat_s[0] = start
     for k in range(x.shape[0] - 1):
-        xhat_s[k + 1] = dec.advance(xhat_s[k], x[k], u[k], u_s[k], dt)
+        xhat_s[k + 1] = dec.advance(xhat_s[k], x[k], u[k], u_s[k], k * dt, dt)
     return xhat_s
 
 
@@ -174,7 +175,7 @@ class TestObserver:
         for _ in range(5):
             x = rng.standard_normal(2)
             u = rng.standard_normal(1)
-            xhat_s = dec.advance(xhat_s, x, u, np.zeros(1), 1e-3)
+            xhat_s = dec.advance(xhat_s, x, u, np.zeros(1), 0.0, 1e-3)
             np.testing.assert_allclose(xhat_s, 0.0, atol=1e-15)
             np.testing.assert_allclose(x - xhat_s, x, atol=1e-15)
 
@@ -187,7 +188,7 @@ class TestObserver:
         for _ in range(5):
             x = rng.standard_normal(3)
             u = rng.uniform(-1.9, 1.9, size=1)
-            xhat_s = dec.advance(xhat_s, x, u, np.zeros(1), 1e-3)
+            xhat_s = dec.advance(xhat_s, x, u, np.zeros(1), 0.0, 1e-3)
             np.testing.assert_allclose(xhat_s, 0.0, atol=1e-15)
 
     def test_replay_matches_recorded_estimates(self):
@@ -210,7 +211,7 @@ class TestObserver:
         x, u = np.array([1.0, -1.0]), np.array([0.5])
         (x if bad == "x" else u)[0] = math.nan
         with pytest.raises(NonFiniteState):
-            dec.advance(np.zeros(2), x, u, np.zeros(1), 1e-3)
+            dec.advance(np.zeros(2), x, u, np.zeros(1), 0.0, 1e-3)
 
     def test_replay_reports_the_step_time_of_a_non_finite_update(self):
         setup = build_run("ex3", "sclc", "i")
@@ -220,6 +221,28 @@ class TestObserver:
         with pytest.raises(NonFiniteState) as err:
             replay_observer(setup.law.dec, trace)
         assert err.value.t == pytest.approx(40e-3)
+
+    def test_estimate_tracks_a_time_varying_plant(self):
+        # x' = -(1 + t) x + u: the model is evaluated at each sample's
+        # time, so xhat_p = x - xhat_s follows the primary system
+        # xp' = -xp + u_p, re-integrated here from the recorded u_p, up to
+        # the first-order gap of the held x.  Read at t = 0, the remainder
+        # drive would vanish and xhat_p would stay x, 0.108 away.
+        plant = PlantModel(name="clocked", n=1, m=1, p=1,
+                           field=lambda t, x, u, d: -(1.0 + t) * x + u + d,
+                           output=lambda x: x)
+        dec = Decomposition(np.array([[-1.0]]), np.array([[1.0]]),
+                            plant.nominal_field, 1, 1)
+        scenario = Scenario(label="clocked", x0=np.array([1.0]), t_end=2.0)
+        dt = 1e-3
+        trace = simulate(plant, CompositeLaw(dec, LqrLaw([[0.5]])), scenario, dt=dt)
+        assert not trace.diverged
+        xp = trace.x.copy()
+        for k in range(len(trace) - 1):
+            drive = dec.B1 @ trace.u_p[k]
+            xp[k + 1] = rk4_step(lambda _t, v: dec.A1 @ v + drive, k * dt, xp[k], dt)
+        assert np.abs(trace.xhat_p - xp).max() < 1e-3
+        assert replay_observer(dec, trace) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(record=observer_records())

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scl_lab.benchmarks import build_run
 from scl_lab.controllers import LqrLaw
 from scl_lab.decomposition import make_decomposition_ex1
 from scl_lab.numerics import matvec, rk4_step
@@ -32,7 +31,6 @@ from scl_lab.plants import (
     _ex2_field,
     _ex3_field,
     _ex3_remainder,
-    simulate,
 )
 
 
@@ -239,10 +237,10 @@ class TestObserverStep:
         xs, x, u, u_s = (
             data.draw(arrays(np.float64, (size, cols), elements=observer_signals))
             for cols in (dec.n, dec.n, dec.m, dec.m))
-        out = dec.advance(xs, x, u, u_s, dt)
+        out = dec.advance(xs, x, u, u_s, 0.0, dt)
         assert out.shape == (size, dec.n)
         assert lanes_match_single_calls(
-            out, lambda *row: dec.advance(*row, dt), xs, x, u, u_s)
+            out, lambda *row: dec.advance(*row, 0.0, dt), xs, x, u, u_s)
 
     @settings(max_examples=300, deadline=None)
     @given(model=st.sampled_from(sorted(OBSERVER_MODELS)), data=st.data())
@@ -255,18 +253,18 @@ class TestObserverStep:
         xs, x, u, u_s = (
             data.draw(arrays(np.float64, cols, elements=signed_zeros_and_units))
             for cols in (dec.n, dec.n, dec.m, dec.m))
-        out = dec.advance(xs, x, u, u_s, 1e-3)
+        out = dec.advance(xs, x, u, u_s, 0.0, 1e-3)
         drive = dec.model_field(0.0, x, u) - dec.A1 @ x + dec.B1 @ (u_s - u)
         expected = rk4_step(lambda _t, v: dec.A1 @ v + drive, 0.0, xs, 1e-3)
         assert same_bits(out, expected)
-        assert same_bits(dec.advance(xs[None], x[None], u[None], u_s[None], 1e-3)[0], out)
+        assert same_bits(dec.advance(xs[None], x[None], u[None], u_s[None], 0.0, 1e-3)[0], out)
 
 
-def test_batched_output_matches_per_row_output_on_ex2():
+def test_batched_output_matches_per_row_output_on_ex2(bench):
     # ex2's output is a matmul, the one shipped output where a batched
     # call could round differently from a per-row call.
-    setup = build_run("ex2", "sclc")
-    trace = simulate(setup.plant, setup.law, setup.scenario)
-    per_row = np.array([setup.plant.output(row) for row in trace.x])
+    trace, _ = bench.cell("ex2", "sclc")
+    output = bench.setup("ex2", "sclc").plant.output
+    per_row = np.array([output(row) for row in trace.x])
     assert len(trace) == 25001
     assert same_bits(trace.y, per_row)

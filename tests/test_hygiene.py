@@ -49,5 +49,34 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["Tuple (line 1)", "os (line 3)"]
 
 
+def numerics_shortcuts(source: str) -> list:
+    """Calls of a ``.dot`` attribute and ``_``-prefixed names imported
+    from ``.numerics``: the one-vector product goes through ``matvec``,
+    and numerics' private names stay in numerics."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dot"):
+            found.append(f".dot (line {node.lineno})")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module == "numerics"):
+            found.extend(f"{alias.name} (line {node.lineno})"
+                         for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "numerics.py"], ids=lambda p: p.name)
+def test_module_leaves_one_vector_shortcuts_to_numerics(path):
+    assert numerics_shortcuts(path.read_text()) == []
+
+
+def test_detects_a_numerics_shortcut():
+    source = ("from .numerics import _FLOAT64, matvec\n"
+              "from numpy import _private\n\n"
+              "def f(A, x):\n    return A.dot(x) + matvec(A, x)\n")
+    assert numerics_shortcuts(source) == ["_FLOAT64 (line 1)", ".dot (line 5)"]
+
+
 def test_package_has_modules_to_check():
     assert len(MODULES) >= 8
