@@ -291,7 +291,8 @@ class AdrcLaw(ControlLaw):
     rate is ``leso_error_matrix(w0) @ xhat + c`` with
     ``c = (3 w0 y, 3 w0^2 y + b u, w0^3 y)``.  Each control step takes
     one RK4 step (README, simulation conventions) on the previous
-    sample's (y, u), held constant, so the loop stays causal.  The
+    sample's (y, u), held constant, so the loop stays causal; a
+    non-finite update raises NonFiniteState at that sample's time.  The
     output channel starts at the first measurement, which skips the
     artificial output-estimation transient.  The nominal feedback u0
     acts on the measured states (the lumped-disturbance channel x3_hat
@@ -318,7 +319,7 @@ class AdrcLaw(ControlLaw):
         if self._prev is None:
             self.xhat[0] = y
         else:
-            y_prev, u_prev = self._prev
+            y_prev, u_prev, t_prev = self._prev
             if dt not in self._rk4_maps:
                 self._rk4_maps[dt] = rk4_affine(leso_error_matrix(self.omega0), dt)
             T, S = self._rk4_maps[dt]
@@ -328,11 +329,11 @@ class AdrcLaw(ControlLaw):
                           w0 ** 3 * y_prev])
             xhat = matvec(T, self.xhat) + matvec(S, c)
             if not np.isfinite(xhat).all():
-                raise NonFiniteState(t - dt, "RK4 update")
+                raise NonFiniteState(t_prev, "RK4 update")
             self.xhat = xhat
         u0 = -(self.K[0] * float(x[0]) + self.K[1] * float(x[1]))
         u = -self.xhat[2] / self.b + u0
-        self._prev = (y, u)
+        self._prev = (y, u, t)
         return np.array([u])
 
     def reset(self):

@@ -23,6 +23,7 @@ from .numerics import (
     is_hurwitz,
     jacobian_fd,
     matvec,
+    rk4_linear,
     rk4_step,
     step_count,
 )
@@ -71,7 +72,7 @@ class Decomposition:
         non-finite update raises NonFiniteState at ``t``."""
         A1 = self.A1
         drive = self.model_field(t, x, u) - matvec(A1, x) + matvec(self.B1, u_s - u)
-        return rk4_step(lambda _t, xs: matvec(A1, xs) + drive, t, xhat_s, dt)
+        return rk4_linear(A1, xhat_s, drive, t, dt)
 
 
 def make_decomposition(plant: PlantModel) -> Decomposition:

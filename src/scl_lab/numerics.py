@@ -78,7 +78,7 @@ class GridError(ValueError):
     """The time step does not fit a run's span (see step_count)."""
 
 
-# numpy's own float64 dtype; as_vector and rk4_step test for it by identity.
+# numpy's own float64 dtype; as_vector and the RK4 steps test for it by identity.
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -155,6 +155,25 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteState(t, "RK4 update")
     return out
+
+
+def rk4_linear(A, x: np.ndarray, b: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One ``rk4_step`` of ``x' = A x + b`` with ``b`` held, with the bits of
+    ``rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)``.  A one-component
+    float64 step runs on Python floats (README, simulation conventions)."""
+    if (x.shape == (1,) and A.shape == (1, 1) and b.shape == (1,)
+            and x.dtype is A.dtype is b.dtype is _FLOAT64):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        a, s, c, h = A.item(), x.item(), b.item(), 0.5 * dt
+        p = a * s + c
+        q = a * (s + h * p) + c
+        r = a * (s + h * q) + c
+        out = s + dt / 6.0 * (p + 2.0 * q + 2.0 * r + (a * (s + dt * r) + c))
+        if not math.isfinite(out):
+            raise NonFiniteState(t, "RK4 update")
+        return np.array([out])
+    return rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)
 
 
 def rk4_affine(A, dt: float) -> Tuple[np.ndarray, np.ndarray]:

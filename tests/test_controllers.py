@@ -292,6 +292,19 @@ class TestLeso:
             law.step(np.array([1.0, 0.0]), 0.0, 2e-3, 1e-3)
         assert err.value.t == pytest.approx(1e-3)
 
+    def test_overflowing_update_raises_at_the_held_sample_time(self):
+        # The LESO steps on the (y, u) held from step k and raises at
+        # k dt, not at (k + 1) dt - dt, which rounds to another float.
+        dt = 1e-3
+        k = next(k for k in range(1, 100) if (k + 1) * dt - dt != k * dt)
+        law = AdrcLaw(ADRC_B, ADRC_OMEGA0, lqr_gain(*ADRC_DESIGN))
+        law.step(np.zeros(2), 0.0, (k - 1) * dt, dt)
+        with np.errstate(all="ignore"):
+            law.step(np.array([1e308, 0.0]), 0.0, k * dt, dt)
+            with pytest.raises(NonFiniteState) as err:
+                law.step(np.zeros(2), 0.0, (k + 1) * dt, dt)
+        assert err.value.t == k * dt
+
     def test_rejects_zero_gain_estimate(self):
         with pytest.raises(ValueError):
             AdrcLaw(0.0, 2.0, [[1.0, 1.0]])

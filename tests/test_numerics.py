@@ -22,7 +22,9 @@ from scl_lab.numerics import (
     integrate,
     is_hurwitz,
     jacobian_fd,
+    matvec,
     rk4_affine,
+    rk4_linear,
     rk4_step,
     solve_care,
     step_count,
@@ -133,11 +135,11 @@ def affine_rk4_cases(draw, elements=EDGE_FLOATS,
     return (lambda _t, xi: c * xi + d), x, t, dt
 
 
-def rk4_outcome(f, t, x, dt):
+def outcome(step, *args):
     """The step's uint64 bits, or the ``t`` of its NonFiniteState."""
     with np.errstate(all="ignore"):
         try:
-            return rk4_step(f, t, x, dt).view(np.uint64).tolist()
+            return step(*args).view(np.uint64).tolist()
         except NonFiniteState as exc:
             return ("NonFiniteState", exc.t)
 
@@ -150,10 +152,10 @@ class TestRk4OneVector:
         # Edge values, many of whose steps overflow, and values whose
         # steps stay finite, so most examples compare finite sums.
         f, x, t, dt = case
-        single = rk4_outcome(f, t, x, dt)
+        single = outcome(rk4_step, f, t, x, dt)
         event("NonFiniteState" if isinstance(single, tuple)
               else f"finite, {x.size} component(s)")
-        batch = rk4_outcome(f, t, np.stack([x, x, x]), dt)
+        batch = outcome(rk4_step, f, t, np.stack([x, x, x]), dt)
         if isinstance(single, tuple):
             assert batch == single
         else:
@@ -190,8 +192,8 @@ class TestRk4OneVector:
         # Finite rates whose weighted sum k1 + 2 k2 + 2 k3 + k4 overflows.
         f = lambda _t, xi: np.full(xi.shape, 1.5e308)  # noqa: E731
         x = np.array([0.0, 1.0])
-        assert rk4_outcome(f, 2.5, x, 1.0) == ("NonFiniteState", 2.5)
-        assert rk4_outcome(f, 2.5, x[None, :], 1.0) == ("NonFiniteState", 2.5)
+        assert outcome(rk4_step, f, 2.5, x, 1.0) == ("NonFiniteState", 2.5)
+        assert outcome(rk4_step, f, 2.5, x[None, :], 1.0) == ("NonFiniteState", 2.5)
 
     @pytest.mark.parametrize("rate", [np.full(2, 0.1, dtype=np.float32), np.full(1, 0.1),
                                       np.full(2, 0.1, dtype=">f8")],
@@ -203,6 +205,57 @@ class TestRk4OneVector:
         single = rk4_step(lambda _t, xi: rate, 0.0, x, 0.01)
         batch = rk4_step(lambda _t, xi: rate, 0.0, x[None, :], 0.01)
         assert single.view(np.uint64).tolist() == batch[0].view(np.uint64).tolist()
+
+
+@st.composite
+def linear_field_cases(draw, elements):
+    """``(A, x, b, t, dt)``: half of them one one-component state, the
+    rest one state of 2 or 3 components or a batch of 1 to 3 states."""
+    shape = draw(st.one_of(st.just((1,)), st.sampled_from(
+        [(2,), (3,), (1, 1), (3, 1), (1, 2), (3, 3)])))
+    A = draw(hnp.arrays(np.float64, (shape[-1],) * 2, elements=elements))
+    x, b = (draw(hnp.arrays(np.float64, shape, elements=elements)) for _ in range(2))
+    return A, x, b, draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1.0))
+
+
+def lambda_form(A, x, b, t, dt):
+    return rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)
+
+
+class TestRk4Linear:
+    # Edge values (signed zeros, subnormals, huge values whose steps
+    # mostly overflow), values whose steps stay finite, and signed zeros
+    # among units.
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(linear_field_cases(EDGE_FLOATS),
+                          linear_field_cases(FINITE_STEP_FLOATS),
+                          linear_field_cases(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))))
+    def test_has_the_bits_of_the_lambda_form(self, case):
+        # Bits when finite, else NonFiniteState at the same t.
+        expected = outcome(lambda_form, *case)
+        event("NonFiniteState" if isinstance(expected, tuple)
+              else f"finite, shape {case[1].shape}")
+        assert outcome(rk4_linear, *case) == expected
+
+    def test_one_component_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteState) as info:
+                rk4_linear(np.array([[1e308]]), np.array([1e308]), np.array([0.0]), 0.75, 1.0)
+        assert info.value.t == 0.75
+
+    def test_rejects_nonpositive_dt(self):
+        with pytest.raises(ValueError):
+            rk4_linear(np.eye(1), np.ones(1), np.ones(1), 0.0, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=EDGE_FLOATS, x=EDGE_FLOATS)
+    def test_one_by_one_matvec_is_the_float_product(self, a, x):
+        # The float path's premise: a 1x1 product is ``a * x``, the sign
+        # of a zero included.
+        with np.errstate(all="ignore"):
+            product = matvec(np.array([[a]]), np.array([x]))
+        assert product.view(np.uint64).tolist() == np.array([a * x]).view(np.uint64).tolist()
 
 
 @st.composite
