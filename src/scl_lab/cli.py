@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ from .decomposition import (
     exactness_suite,
     make_decomposition,
     replay_observer,
+    run_jobs,
 )
 from .metrics import report as evaluate
 from .numerics import DEFAULT_DT, GridError, NonFiniteState
@@ -80,8 +82,7 @@ def write_trace_csv(trace: SimulationTrace, path: Path):
 
 def write_plot_svg(trace: SimulationTrace, path: Path, title: str):
     t = trace.t
-    state_series = [(f"x{j + 1}", t, trace.x[:, j])
-                    for j in range(trace.x.shape[1])]
+    state_series = [(f"x{j + 1}", t, col) for j, col in enumerate(trace.x.T)]
     if trace.tracking:
         state_series.append(("y_d", t, trace.y_d))
     input_series = [("u_commanded", t, trace.u_cmd[:, 0]),
@@ -182,34 +183,44 @@ def cmd_lemma1_check(args) -> int:
               f"max |x - (xp + xs)| = {case.deviation:.3e}")
         worst = max(worst, case.deviation)
     ok = worst < LEMMA_TOL
-    print(f"worst deviation {worst:.3e} ({'OK' if ok else 'FAIL'}, "
-          f"tolerance {LEMMA_TOL:g})")
+    print(f"worst deviation {worst:.3e} ({'OK' if ok else 'FAIL'}, tolerance {LEMMA_TOL:g})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+class _ReplayColumns(SimpleNamespace):
+    """What replay_observer reads of a trace: x, u_cmd, u_s, xhat_s, dt."""
+    def __len__(self):
+        return len(self.x)
+
+
+def _sclc_run(example: str, scenario: Optional[str], dt: float) -> _ReplayColumns:
+    """One observer-check cell, simulated in the caller or the worker."""
+    setup = build_run(example, "sclc", scenario)
+    trace = simulate(setup.plant, setup.law, setup.scenario, dt=dt)
+    return _ReplayColumns(x=trace.x, u_cmd=trace.u_cmd, u_s=trace.u_s,
+                          xhat_s=trace.xhat_s, dt=trace.dt)
 
 
 def cmd_observer_check(args) -> int:
     runs = [(ex, sc) for ex in EXAMPLES for sc in build_example(ex)[1]]
     for _, sc in runs:
         sc.grid(args.dt)  # every grid is checked before the first run
+    cells = [(ex, sc.label if ex == "ex3" else None) for ex, sc in runs]
+    # ex2 and ex3 (i) simulate in the worker, by measured cost (README, CLI).
+    records = run_jobs([(cell in (("ex2", None), ("ex3", "i")), _sclc_run, (*cell, args.dt))
+                        for cell in cells])
     ok = True
-    for example, sc in runs:
-        scenario = sc.label if example == "ex3" else None
-        setup = build_run(example, "sclc", scenario)
-        trace = simulate(setup.plant, setup.law, setup.scenario, dt=args.dt)
-        dev = replay_observer(setup.law.dec, trace)
+    for (example, scenario), record in zip(cells, records):
+        dev = replay_observer(build_run(example, "sclc", scenario).law.dec, record)
         label = example + (f"({scenario})" if scenario else "")
         good = dev < OBSERVER_TOL
         ok = ok and good
-        print(f"{label}: replay deviation {dev:.3e} "
-              f"{'OK' if good else 'FAIL'}")
+        print(f"{label}: replay deviation {dev:.3e} {'OK' if good else 'FAIL'}")
 
     # The construction must refuse a non-Hurwitz primary matrix.
-    unstable = PlantModel(
-        name="unstable", n=1, m=1, p=1,
-        field=lambda t, x, u, d: x + u + d,
-        output=lambda x: x,
-        analytic_jacobian=(np.array([[1.0]]), np.array([[1.0]])),
-    )
+    unstable = PlantModel(name="unstable", n=1, m=1, p=1,
+                          field=lambda t, x, u, d: x + u + d, output=lambda x: x,
+                          analytic_jacobian=(np.array([[1.0]]), np.array([[1.0]])))
     try:
         make_decomposition(unstable)
     except UnstableA1:
@@ -241,13 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--out")
     p_tab.set_defaults(func=cmd_table1)
 
-    p_lem = sub.add_parser("lemma1-check",
-                           help="decomposition exactness sweep")
+    p_lem = sub.add_parser("lemma1-check", help="decomposition exactness sweep")
     p_lem.add_argument("--dt", type=float, default=DEFAULT_DT)
     p_lem.set_defaults(func=cmd_lemma1_check)
 
-    p_obs = sub.add_parser("observer-check",
-                           help="observer replay + construction guards")
+    p_obs = sub.add_parser("observer-check", help="observer replay + construction guards")
     p_obs.add_argument("--dt", type=float, default=DEFAULT_DT)
     p_obs.set_defaults(func=cmd_observer_check)
     return parser

@@ -224,14 +224,11 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
     """Worst deviation |x - (xp + xs)|_inf per lane of the original,
     primary and secondary systems co-integrated in one RK4 state under a
     shared input split, so the deviation is free of integration error.
-    It certifies ``remainder_field`` when there is one (README,
-    ``lemma1-check``), else the generic f - A1 xp - B1 up.  ``x0`` is one
-    state (n,) or lanes (B, n).  ``inputs(times)`` takes a 1-D array of
-    stage times and returns ``(u, u_p)`` shaped (len(times), B, m); it is
-    called once per chunk of EXACTNESS_CHUNK steps, on the floats
-    ``rk4_step`` passes (k dt, k dt + dt/2 and k dt + dt for each step k),
-    each once, and a chunk's defects are reduced together.  The
-    disturbance ``d`` (n,) enters the original and primary systems.
+    It certifies ``remainder_field`` when there is one, else the generic
+    f - A1 xp - B1 up.  ``x0`` is one state (n,) or lanes (B, n); ``d``
+    (n,) enters the original and primary systems.  ``inputs(times)``
+    returns ``(u, u_p)`` shaped (len(times), B, m) for a chunk's stage
+    times (README, ``lemma1-check``).
     """
     x0 = as_matrix(np.atleast_2d(x0), cols=dec.n, name="x0")
     d = as_vector(d, dim=dec.n, name="d")
@@ -324,18 +321,24 @@ def _exactness_deviation(example: str, draws, dt: float) -> np.ndarray:
                                    np.tile(sc.x0, (len(split), 1)), sc.t_end, dt)
 
 
-def _fork_context():
-    """The fork start method when this process may use 2 or more CPUs and
-    may start children; None otherwise."""
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return None
-    # Imported here, so importing scl_lab stays as fast as it was.
-    import multiprocessing
+def run_jobs(jobs) -> list:
+    """``[fn(*args) for in_worker, fn, args in jobs]`` for independent calls; the
+    ``in_worker`` ones share one forked worker when 2+ CPUs are usable (README)."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        # Imported here, so importing scl_lab stays as fast as it was.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+                sent = [pool.submit(fn, *args) if in_worker else None
+                        for in_worker, fn, args in jobs]
+                mine = [fn(*args) if future is None else None
+                        for future, (_, fn, args) in zip(sent, jobs)]
+                return [result if future is None else future.result()
+                        for future, result in zip(sent, mine)]
+    return [fn(*args) for _, fn, args in jobs]
 
 
 def exactness_suite(dt: float = DEFAULT_DT, n_inputs: int = 20,
@@ -343,24 +346,12 @@ def exactness_suite(dt: float = DEFAULT_DT, n_inputs: int = 20,
     """Decomposition-exactness sweep over all example plants: the worst
     x - (xp + xs) defect of ``n_inputs`` random bounded inputs, each with
     a random primary/secondary split, per example over its horizon.
-    Deterministic for a fixed seed; the README's simulation conventions
-    say how the ex2 share may run in a forked worker.
-    """
+    Deterministic for a fixed seed; ex2 runs in run_jobs's worker."""
     rng = np.random.default_rng(seed)
     draws = {example: _draw_inputs(rng, n_inputs) for example in EXAMPLES}
     for example in EXAMPLES:
         _exactness_example(example)[1].grid(dt)
-    ctx = _fork_context()
-    if ctx is None:
-        deviations = {example: _exactness_deviation(example, draws[example], dt)
-                      for example in EXAMPLES}
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(1, mp_context=ctx) as pool:
-            ex2 = pool.submit(_exactness_deviation, "ex2", draws["ex2"], dt)
-            deviations = {example: _exactness_deviation(example, draws[example], dt)
-                          for example in ("ex1", "ex3")}
-            deviations["ex2"] = ex2.result()
-    return [ExactnessCase(example, i, float(deviations[example][i]))
-            for example in EXAMPLES for i in range(n_inputs)]
+    deviations = run_jobs([(example == "ex2", _exactness_deviation,
+                            (example, draws[example], dt)) for example in EXAMPLES])
+    return [ExactnessCase(example, i, float(worst[i]))
+            for example, worst in zip(EXAMPLES, deviations) for i in range(n_inputs)]

@@ -107,7 +107,7 @@ def test_ex3_cell_builds_one_plant(method, monkeypatch):
 def test_set_up_imports_no_scipy():
     # Every CLI invocation pays for what set-up imports: the CLI module
     # and every valid cell, the LQR designs included, stay numpy-only.
-    # The exactness sweep's process pool is imported only when it runs.
+    # run_jobs imports its process pool only when a forked run may start.
     code = ("import itertools, sys\n"
             "import scl_lab.cli\n"
             "from scl_lab.benchmarks import (EXAMPLES, METHODS, SCENARIOS_EX3,\n"

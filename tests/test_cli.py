@@ -29,6 +29,7 @@ from scl_lab.benchmarks import (
 )
 from scl_lab.cli import main, write_trace_csv
 from scl_lab.controllers import ControlLaw, ZeroLaw
+from scl_lab.decomposition import replay_observer
 from scl_lab.numerics import DEFAULT_DT, step_count
 from scl_lab.plants import PlantModel, SimulationTrace, build_example
 
@@ -461,16 +462,73 @@ class TestTableCommand:
         assert not (tmp_path / "table1.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def coarse_observer_checks():
+    """``observer-check --dt 0.01`` with 2 usable CPUs, with 1, and with 2
+    in a daemonic process, keyed ``(cpus, daemon)``: the exit code, the
+    stdout, the forks and the pid of each ``replay_observer`` call."""
+    runs = {}
+    for cpus, daemon in ((2, False), (1, False), (2, True)):
+        pids = []
+
+        def replay(dec, trace):
+            pids.append(os.getpid())
+            return replay_observer(dec, trace)
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                contextlib.redirect_stdout(out):
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                       raising=False)
+            mp.setattr(multiprocessing.current_process(), "daemon", daemon)
+            mp.setattr(cli, "replay_observer", replay)
+            code = main(["observer-check", "--dt", "0.01"])
+        runs[cpus, daemon] = code, out.getvalue(), fork.call_count, pids
+    assert multiprocessing.active_children() == []
+    return runs
+
+
 class TestCheckCommands:
     def test_lemma_check_passes_at_coarse_step(self, capsys):
         assert main(["lemma1-check", "--dt", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "worst deviation" in out and "OK" in out
 
-    def test_observer_check_passes_at_coarse_step(self, capsys):
-        assert main(["observer-check", "--dt", "0.01"]) == 0
-        out = capsys.readouterr().out
+    def test_observer_check_passes_at_coarse_step(self, coarse_observer_checks):
+        code, out, _, _ = coarse_observer_checks[2, False]
+        assert code == 0
         assert "non-Hurwitz A1 rejected: OK" in out
+
+    def test_observer_check_prints_the_same_report_without_its_worker(
+            self, coarse_observer_checks):
+        # On one CPU, or in a daemonic process, the caller simulates the
+        # worker's cells itself, with the same bits.
+        reports = {key: run[:2] for key, run in coarse_observer_checks.items()}
+        assert len(set(reports.values())) == 1, reports
+
+    def test_observer_check_forks_once_with_two_usable_cpus(
+            self, coarse_observer_checks):
+        forks = {key: run[2] for key, run in coarse_observer_checks.items()}
+        assert forks == {(2, False): 1, (1, False): 0, (2, True): 0}
+
+    def test_observer_check_replays_every_cell_in_the_calling_process(
+            self, coarse_observer_checks):
+        for _, _, _, pids in coarse_observer_checks.values():
+            assert pids == [os.getpid()] * 6
+
+    def test_observer_check_refuses_a_bad_dt_before_any_fork(
+            self, monkeypatch, capsys):
+        # 0.3 divides the 30 s and 10 s horizons of ex1 and ex3 but not
+        # the 25 s of ex2, a cell of the worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        with mock.patch.object(os, "fork", side_effect=AssertionError) as fork:
+            assert main(["observer-check", "--dt", "0.3"]) == 2
+        assert fork.call_count == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not divide the span 25" in captured.err
 
     @pytest.mark.parametrize("dt", ["1.25", "1.0"])
     def test_lemma_check_reports_a_non_finite_sweep_as_failed(self, capsys, dt):

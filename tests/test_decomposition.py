@@ -3,6 +3,8 @@ import hashlib
 import math
 import multiprocessing
 import os
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -522,6 +524,72 @@ class TestExactnessChunks:
 def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
+
+
+# Jobs for run_jobs, at module level so that the worker can unpickle them.
+def pid_and(value):
+    return os.getpid(), value
+
+
+def non_finite_at(t):
+    raise NonFiniteState(t, "RK4 update")
+
+
+def mark_after(path, seconds):
+    time.sleep(seconds)
+    Path(path).write_text("done")
+    return "done"
+
+
+class TestRunJobs:
+    @pytest.mark.parametrize("cpus,daemon,forks", [(1, False, 0), (2, False, 1),
+                                                   (2, True, 0)])
+    def test_results_come_back_in_list_order_from_where_they_ran(
+            self, monkeypatch, cpus, daemon, forks):
+        # The flagged jobs share one forked worker when 2 CPUs are usable
+        # and this process may start children; otherwise the caller runs
+        # every job itself.
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", daemon)
+        flags = (True, False, True, False, False)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            results = decomposition.run_jobs(
+                [(flag, pid_and, (i,)) for i, flag in enumerate(flags)])
+        assert fork.call_count == forks
+        assert [value for _, value in results] == list(range(len(flags)))
+        caller = os.getpid()
+        assert [pid != caller for pid, _ in results] == [flag and forks == 1
+                                                         for flag in flags]
+        assert len({pid for pid, _ in results}) == 1 + forks
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("in_worker", [True, False], ids=("worker", "caller"))
+    def test_an_exception_is_raised_in_the_caller_with_its_fields(
+            self, monkeypatch, in_worker):
+        usable_cpus(monkeypatch, 2)
+        jobs = [(True, pid_and, (0,)), (in_worker, non_finite_at, (0.5,)),
+                (False, pid_and, (2,))]
+        with pytest.raises(NonFiniteState, match="RK4 update at t=0.5$") as info:
+            decomposition.run_jobs(jobs)
+        assert (info.value.t, info.value.what) == (0.5, "RK4 update")
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_caller_share_first_waits_for_the_worker(
+            self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        mark = tmp_path / "worker-done"
+        with pytest.raises(NonFiniteState):
+            decomposition.run_jobs([(True, mark_after, (str(mark), 0.1)),
+                                    (False, non_finite_at, (0.0,))])
+        assert mark.read_text() == "done"
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_without_a_result_raises_in_the_caller(
+            self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError):
+            decomposition.run_jobs([(True, os._exit, (7,)), (False, pid_and, (1,))])
+        assert multiprocessing.active_children() == []
 
 
 class TestExactnessSuite:
