@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonFiniteState, as_matrix, as_vector, matvec, rk4_affine
+from .numerics import as_matrix, as_vector, matvec, rk4_linear
 
 # Feedback-linearizing input transforms are declared singular when the
 # denominator magnitude drops below this.
@@ -252,9 +252,8 @@ class FlcEx3(_SingularGuardLaw):
 
     def _u(self, x, den):
         x1, x2 = float(x[0]), float(x[1])
-        z1 = x1
-        z2 = x2 + math.sin(x2)
-        v = -(self.K[0] * z1 + self.K[1] * z2)
+        z2 = x2 + math.sin(x2)  # z1 = x1
+        v = -(self.K[0] * x1 + self.K[1] * z2)
         u = v / den + 2.0 * x1 + 3.0 * x2 - 2.0 * x2 * x2
         return np.array([u])
 
@@ -266,9 +265,8 @@ class RflcEx3(_SingularGuardLaw):
 
     def _u(self, x, den):
         x1, x2 = float(x[0]), float(x[1])
-        z1 = x1
-        z2 = 0.5 * x2 + 0.5 * math.sin(x2)
-        v = -(self.K[0] * z1 + self.K[1] * z2)
+        z2 = 0.5 * x2 + 0.5 * math.sin(x2)  # z1 = x1
+        v = -(self.K[0] * x1 + self.K[1] * z2)
         u = (2.0 * v / den + 2.0 * x1 + 3.0 * x2 - 2.0 * x2 * x2
              - (4.0 * x1 + 3.0 * x2 + 3.0 * math.sin(x2)) / den)
         return np.array([u])
@@ -310,8 +308,8 @@ class AdrcLaw(ControlLaw):
         self.b = float(b)
         self.omega0 = float(omega0)
         self.K = _gain_vector(K)
-        # dt -> rk4_affine of the error matrix: derived constants.
-        self._rk4_maps: dict = {}
+        self._L = leso_error_matrix(self.omega0)
+        self._gains = (-self._L[:, 0]).tolist()  # (3 w0, 3 w0^2, w0^3)
         self.reset()
 
     def step(self, x, ref, t, dt):
@@ -320,17 +318,9 @@ class AdrcLaw(ControlLaw):
             self.xhat[0] = y
         else:
             y_prev, u_prev, t_prev = self._prev
-            if dt not in self._rk4_maps:
-                self._rk4_maps[dt] = rk4_affine(leso_error_matrix(self.omega0), dt)
-            T, S = self._rk4_maps[dt]
-            w0 = self.omega0
-            c = np.array([3.0 * w0 * y_prev,
-                          3.0 * w0 ** 2 * y_prev + self.b * u_prev,
-                          w0 ** 3 * y_prev])
-            xhat = matvec(T, self.xhat) + matvec(S, c)
-            if not np.isfinite(xhat).all():
-                raise NonFiniteState(t_prev, "RK4 update")
-            self.xhat = xhat
+            g1, g2, g3 = self._gains
+            c = np.array([g1 * y_prev, g2 * y_prev + self.b * u_prev, g3 * y_prev])
+            self.xhat = rk4_linear(self._L, self.xhat, c, t_prev, dt)
         u0 = -(self.K[0] * float(x[0]) + self.K[1] * float(x[1]))
         u = -self.xhat[2] / self.b + u0
         self._prev = (y, u, t)

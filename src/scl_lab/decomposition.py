@@ -236,16 +236,12 @@ def decomposition_deviation(dec: Decomposition, inputs, d, x0,
     A1_T, B1_T = dec.A1.T, dec.B1.T
 
     def combined_rate(t, z):
-        x = z[..., :n]
-        xp = z[..., n:2 * n]
-        xs = z[..., 2 * n:]
+        x, xp, xs = z[..., :n], z[..., n:2 * n], z[..., 2 * n:]
         u, up_B1, us = stage[t]
         fx = dec.model_field(t, x, u)
         lin = xp @ A1_T + up_B1
-        if dec.remainder_field is not None:
-            ds = dec.remainder_field(t, x, xs, u, us)
-        else:
-            ds = fx - lin
+        ds = (fx - lin if dec.remainder_field is None
+              else dec.remainder_field(t, x, xs, u, us))
         return np.concatenate((fx + d, lin + d, ds), axis=-1)
 
     steps = step_count(0.0, t_end, dt)

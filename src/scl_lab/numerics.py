@@ -10,6 +10,7 @@ function of the Hamiltonian.  numpy is the only dependency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -158,11 +159,17 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def rk4_linear(A, x: np.ndarray, b: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One ``rk4_step`` of ``x' = A x + b`` with ``b`` held, with the bits of
-    ``rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)``.  A one-component
-    float64 step runs on Python floats (README, simulation conventions)."""
-    if (x.shape == (1,) and A.shape == (1, 1) and b.shape == (1,)
-            and x.dtype is A.dtype is b.dtype is _FLOAT64):
+    """One RK4 step of ``x' = A x + b``, ``b`` held: ``T x + S b`` of a cached
+    ``rk4_affine`` for ``n >= 2``, the stage sums of ``rk4_step`` for a 1x1 ``A``
+    (README, simulation conventions).  A non-finite update raises NonFiniteState."""
+    if A.shape != (1, 1):
+        T, S = _affine_maps(A.dtype, A.shape, A.tobytes(), dt)
+        out = matvec(T, x) + matvec(S, b)
+        if not np.isfinite(out).all():
+            raise NonFiniteState(t, "RK4 update")
+        return out
+    # ex1's 1x1 A becomes T*s + S*c in the benchmark change that re-records its digest.
+    if x.shape == b.shape == (1,) and x.dtype is A.dtype is b.dtype is _FLOAT64:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         a, s, c, h = A.item(), x.item(), b.item(), 0.5 * dt
@@ -174,6 +181,12 @@ def rk4_linear(A, x: np.ndarray, b: np.ndarray, t: float, dt: float) -> np.ndarr
             raise NonFiniteState(t, "RK4 update")
         return np.array([out])
     return rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)
+
+
+@functools.lru_cache(maxsize=64)
+def _affine_maps(dtype: np.dtype, shape: tuple, data: bytes, dt: float):
+    """``rk4_affine`` of the matrix with these contents, so never stale."""
+    return rk4_affine(np.frombuffer(data, dtype).reshape(shape), dt)
 
 
 def rk4_affine(A, dt: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from scl_lab.controllers import LqrLaw
 from scl_lab.decomposition import make_decomposition_ex1
-from scl_lab.numerics import matvec, rk4_step
+from scl_lab.numerics import matvec, rk4_affine, rk4_step
 from scl_lab.plants import (
     _ex1_field,
     _ex2_field,
@@ -248,14 +248,19 @@ class TestObserverStep:
         # Exact zeros, of both signs, are where matvec's one-vector .dot
         # and ``@`` can differ (in the sign of a zero product); the
         # shipped model fields absorb it, so the step keeps the bits of
-        # the ``@`` form and of its batched row.
+        # the ``@`` form and of its batched row: rk4_step's stages for
+        # ex1's 1x1 A1, the closed form ``T xs + S drive`` for n >= 2.
         dec = OBSERVER_MODELS[model]()
         xs, x, u, u_s = (
             data.draw(arrays(np.float64, cols, elements=signed_zeros_and_units))
             for cols in (dec.n, dec.n, dec.m, dec.m))
         out = dec.advance(xs, x, u, u_s, 0.0, 1e-3)
         drive = dec.model_field(0.0, x, u) - dec.A1 @ x + dec.B1 @ (u_s - u)
-        expected = rk4_step(lambda _t, v: dec.A1 @ v + drive, 0.0, xs, 1e-3)
+        if dec.n == 1:
+            expected = rk4_step(lambda _t, v: dec.A1 @ v + drive, 0.0, xs, 1e-3)
+        else:
+            T, S = rk4_affine(dec.A1, 1e-3)
+            expected = T @ xs + S @ drive
         assert same_bits(out, expected)
         assert same_bits(dec.advance(xs[None], x[None], u[None], u_s[None], 0.0, 1e-3)[0], out)
 

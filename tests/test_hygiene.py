@@ -50,14 +50,18 @@ def test_detects_an_unused_import():
 
 
 def numerics_shortcuts(source: str) -> list:
-    """Calls of a ``.dot`` attribute and ``_``-prefixed names imported
-    from ``.numerics``: the one-vector product goes through ``matvec``,
-    and numerics' private names stay in numerics."""
+    """Calls of a ``.dot`` attribute or of ``rk4_affine``, and
+    ``_``-prefixed names imported from ``.numerics``: the one-vector
+    product goes through ``matvec``, a linear RK4 step through
+    ``rk4_linear``, and numerics' private names stay in numerics."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "dot"):
-            found.append(f".dot (line {node.lineno})")
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("dot", "rk4_affine"):
+                found.append(f".{func.attr} (line {node.lineno})")
+            elif isinstance(func, ast.Name) and func.id == "rk4_affine":
+                found.append(f"rk4_affine (line {node.lineno})")
         elif (isinstance(node, ast.ImportFrom) and node.level == 1
               and node.module == "numerics"):
             found.extend(f"{alias.name} (line {node.lineno})"
@@ -72,10 +76,12 @@ def test_module_leaves_one_vector_shortcuts_to_numerics(path):
 
 
 def test_detects_a_numerics_shortcut():
-    source = ("from .numerics import _FLOAT64, matvec\n"
+    source = ("from .numerics import _FLOAT64, matvec, rk4_affine\n"
               "from numpy import _private\n\n"
-              "def f(A, x):\n    return A.dot(x) + matvec(A, x)\n")
-    assert numerics_shortcuts(source) == ["_FLOAT64 (line 1)", ".dot (line 5)"]
+              "def f(A, x):\n    return A.dot(x) + matvec(A, x)\n\n"
+              "def g(A):\n    return rk4_affine(A, 0.1), numerics.rk4_affine(A, 0.1)\n")
+    assert numerics_shortcuts(source) == [
+        "_FLOAT64 (line 1)", ".dot (line 5)", "rk4_affine (line 8)", ".rk4_affine (line 8)"]
 
 
 def test_package_has_modules_to_check():

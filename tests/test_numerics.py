@@ -208,34 +208,83 @@ class TestRk4OneVector:
 
 
 @st.composite
-def linear_field_cases(draw, elements):
-    """``(A, x, b, t, dt)``: half of them one one-component state, the
-    rest one state of 2 or 3 components or a batch of 1 to 3 states."""
-    shape = draw(st.one_of(st.just((1,)), st.sampled_from(
-        [(2,), (3,), (1, 1), (3, 1), (1, 2), (3, 3)])))
+def linear_field_cases(draw, elements, wide):
+    """``(A, x, b, t, dt)``: one state or a batch of 1 to 3 states, of one
+    component (half of them one state) or, if ``wide``, of 2 or 3."""
+    if wide:
+        shape = draw(st.sampled_from([(2,), (3,), (1, 2), (3, 2), (2, 3), (3, 3)]))
+    else:
+        shape = draw(st.one_of(st.just((1,)), st.sampled_from([(1, 1), (3, 1)])))
     A = draw(hnp.arrays(np.float64, (shape[-1],) * 2, elements=elements))
     x, b = (draw(hnp.arrays(np.float64, shape, elements=elements)) for _ in range(2))
     return A, x, b, draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 1.0))
+
+
+def linear_cases(wide):
+    # Edge values (signed zeros, subnormals, huge values whose steps
+    # mostly overflow), values whose steps stay finite, and signed zeros
+    # among units.
+    return st.one_of(*(linear_field_cases(elements, wide) for elements in (
+        EDGE_FLOATS, FINITE_STEP_FLOATS, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))))
 
 
 def lambda_form(A, x, b, t, dt):
     return rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)
 
 
+def closed_form(A, x, b, t, dt):
+    T, S = rk4_affine(A, dt)
+    out = matvec(T, x) + matvec(S, b)
+    if not np.isfinite(out).all():
+        raise NonFiniteState(t, "RK4 update")
+    return out
+
+
 class TestRk4Linear:
-    # Edge values (signed zeros, subnormals, huge values whose steps
-    # mostly overflow), values whose steps stay finite, and signed zeros
-    # among units.
+    # Bits when finite, else NonFiniteState at the same t.
     @settings(max_examples=150, deadline=None)
-    @given(case=st.one_of(linear_field_cases(EDGE_FLOATS),
-                          linear_field_cases(FINITE_STEP_FLOATS),
-                          linear_field_cases(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))))
+    @given(case=linear_cases(wide=False))
     def test_has_the_bits_of_the_lambda_form(self, case):
-        # Bits when finite, else NonFiniteState at the same t.
+        # A 1x1 A keeps rk4_step's stage sums.
         expected = outcome(lambda_form, *case)
         event("NonFiniteState" if isinstance(expected, tuple)
               else f"finite, shape {case[1].shape}")
         assert outcome(rk4_linear, *case) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=linear_cases(wide=True))
+    def test_wider_has_the_bits_of_the_closed_form(self, case):
+        # n >= 2 steps by T x + S b, with maps equal to a fresh rk4_affine.
+        expected = outcome(closed_form, *case)
+        event("NonFiniteState" if isinstance(expected, tuple)
+              else f"finite, shape {case[1].shape}")
+        assert outcome(rk4_linear, *case) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=linear_cases(wide=True).filter(lambda case: case[1].ndim == 2))
+    def test_wider_batch_rows_have_the_bits_of_single_steps(self, case):
+        # T x and S b have an inner dimension of at least 2, where a
+        # batch row's product rounds as the one-vector product, signed
+        # zeros included; a batch that fails has a row that fails.
+        A, x, b, t, dt = case
+        batch = outcome(rk4_linear, *case)
+        rows = [outcome(rk4_linear, A, xk, bk, t, dt) for xk, bk in zip(x, b)]
+        if isinstance(batch, tuple):
+            assert batch in rows
+        else:
+            assert batch == rows
+
+    def test_cached_maps_follow_the_matrix_and_the_step(self):
+        A1 = np.array([[-1.0, 2.0], [0.5, -3.0]])
+        A2 = np.array([[0.0, 1.0], [-4.0, -0.2]])
+        x, b = np.array([0.3, -0.7]), np.array([1.5, 0.25])
+        for A, dt in [(A1, 0.01), (A2, 0.01), (A1, 0.1), (A2, 0.01), (A1, 0.01), (A1, 0.1)]:
+            assert outcome(rk4_linear, A, x, b, 0.0, dt) == outcome(closed_form, A, x, b, 0.0, dt)
+        before = outcome(rk4_linear, A1, x, b, 0.0, 0.01)
+        A1[0, 1] = 5.0
+        after = outcome(rk4_linear, A1, x, b, 0.0, 0.01)
+        assert after == outcome(closed_form, A1, x, b, 0.0, 0.01)
+        assert after != before
 
     def test_one_component_overflow_raises_without_a_warning(self):
         with warnings.catch_warnings():
