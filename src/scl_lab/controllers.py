@@ -26,12 +26,12 @@ SINGULAR_GUARD = 1e-6
 NEAR_SINGULAR = 1e-2
 
 
-def _gain_vector(K) -> np.ndarray:
-    """``K`` flattened to a vector of gains, all of them finite."""
+def _gain_vector(K) -> list:
+    """``K`` flattened to a list of float gains, all of them finite."""
     K = np.asarray(K, dtype=float).ravel()
     if not np.isfinite(K).all():
         raise ValueError("K has non-finite entries")
-    return K
+    return K.tolist()
 
 
 class SingularInput(RuntimeError):
@@ -191,9 +191,8 @@ class BacksteppingSecondary:
 
     def u_s(self, x, xhat_s) -> np.ndarray:
         a, c = self.params.a, self.params.c
-        x2 = float(x[1])
-        s1 = float(xhat_s[0])
-        s2 = float(xhat_s[1])
+        _, x2 = x.tolist()
+        s1, s2 = xhat_s.tolist()
         z2 = s2 + a * math.atan(s1)
         g = math.sin(x2) - math.sin(s2)
         u = (2.0 * s1 + 3.0 * s2 - 2.0 * x2 * x2
@@ -223,20 +222,21 @@ class _SingularGuardLaw(ControlLaw):
         self.singular_count = 0
         self.near_singular_count = 0
 
-    def _u(self, x, denominator):
+    def _u(self, x1, x2, denominator):
         raise NotImplementedError
 
     def _guarded(self, x, clamp: bool) -> np.ndarray:
         # The hard band lies inside the near-singular one, and counts in both.
-        den = 1.0 + math.cos(x[1])
+        x1, x2 = x.tolist()
+        den = 1.0 + math.cos(x2)
         if abs(den) < NEAR_SINGULAR:
             self.near_singular_count += 1
             if abs(den) < SINGULAR_GUARD:
                 self.singular_count += 1
                 if not clamp:
-                    raise SingularInput(x[1], den)
+                    raise SingularInput(x2, den)
                 den = SINGULAR_GUARD
-        return self._u(x, den)
+        return self._u(x1, x2, den)
 
     def control(self, x) -> np.ndarray:
         return self._guarded(as_vector(x, dim=2), clamp=False)
@@ -250,8 +250,7 @@ class FlcEx3(_SingularGuardLaw):
 
     name = "flc"
 
-    def _u(self, x, den):
-        x1, x2 = float(x[0]), float(x[1])
+    def _u(self, x1, x2, den):
         z2 = x2 + math.sin(x2)  # z1 = x1
         v = -(self.K[0] * x1 + self.K[1] * z2)
         u = v / den + 2.0 * x1 + 3.0 * x2 - 2.0 * x2 * x2
@@ -263,8 +262,7 @@ class RflcEx3(_SingularGuardLaw):
 
     name = "rflc"
 
-    def _u(self, x, den):
-        x1, x2 = float(x[0]), float(x[1])
+    def _u(self, x1, x2, den):
         z2 = 0.5 * x2 + 0.5 * math.sin(x2)  # z1 = x1
         v = -(self.K[0] * x1 + self.K[1] * z2)
         u = (2.0 * v / den + 2.0 * x1 + 3.0 * x2 - 2.0 * x2 * x2
@@ -303,17 +301,20 @@ class AdrcLaw(ControlLaw):
     def __init__(self, b: float, omega0: float, K):
         if b == 0.0 or not math.isfinite(b):
             raise ValueError("input-gain estimate b must be nonzero and finite")
-        if not 0.0 < omega0 < math.inf:
-            raise ValueError("observer bandwidth omega0 must be positive and finite")
+        try:  # a float power that overflows raises, where numpy's gives inf
+            self._L = leso_error_matrix(float(omega0))
+        except OverflowError:
+            self._L = None
+        if self._L is None or not 0.0 < omega0 < math.inf:
+            raise ValueError("observer bandwidth omega0 must be positive, with a finite cube")
         self.b = float(b)
         self.omega0 = float(omega0)
         self.K = _gain_vector(K)
-        self._L = leso_error_matrix(self.omega0)
         self._gains = (-self._L[:, 0]).tolist()  # (3 w0, 3 w0^2, w0^3)
         self.reset()
 
     def step(self, x, ref, t, dt):
-        y = float(x[0])
+        y, x2 = x.tolist()
         if self._prev is None:
             self.xhat[0] = y
         else:
@@ -321,8 +322,8 @@ class AdrcLaw(ControlLaw):
             g1, g2, g3 = self._gains
             c = np.array([g1 * y_prev, g2 * y_prev + self.b * u_prev, g3 * y_prev])
             self.xhat = rk4_linear(self._L, self.xhat, c, t_prev, dt)
-        u0 = -(self.K[0] * float(x[0]) + self.K[1] * float(x[1]))
-        u = -self.xhat[2] / self.b + u0
+        u0 = -(self.K[0] * y + self.K[1] * x2)
+        u = -self.xhat.tolist()[2] / self.b + u0
         self._prev = (y, u, t)
         return np.array([u])
 

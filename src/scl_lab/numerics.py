@@ -123,29 +123,29 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     ``x`` may be one state ``(n,)`` or a batch ``(B, n)``.  Deterministic
     for identical inputs.  Raises NonFiniteState when the combined update
     is not finite (a NaN or Inf at any stage propagates into the sum).
-    A float64 ``(n,)`` state whose first rate is float64 ``(n,)`` sums
-    its stages on Python floats with the bits of a batch row; its later
-    rates must be float64 ``(n,)`` too (README, simulation conventions).
+    A float64 ``(1,)`` or ``(2,)`` state whose rates are float64 of its
+    shape sums its stages on Python floats with the bits of a batch row,
+    and a wider one takes the array expressions (README, simulation conventions).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     h = 0.5 * dt
     k1 = f(t, x)
-    if x.ndim == 1 and x.dtype is k1.dtype is _FLOAT64 and k1.shape == x.shape:
-        x0, k1 = x.tolist(), k1.tolist()
+    if x.shape in ((1,), (2,)) and k1.shape == x.shape and x.dtype is k1.dtype is _FLOAT64:
         w = dt / 6.0
-        if len(x0) == 1:  # the same sums, without a comprehension per stage
-            (a,), (p,) = x0, k1
+        if x.shape == (1,):  # the sums of the array expressions, on floats
+            (a,), (p,) = x.tolist(), k1.tolist()
             (q,) = f(t + h, np.array([a + h * p])).tolist()
             (r,) = f(t + h, np.array([a + h * q])).tolist()
             (s,) = f(t + dt, np.array([a + dt * r])).tolist()
             out = [a + w * (p + 2.0 * q + 2.0 * r + s)]
         else:
-            k2 = f(t + h, np.array([a + h * k for a, k in zip(x0, k1)])).tolist()
-            k3 = f(t + h, np.array([a + h * k for a, k in zip(x0, k2)])).tolist()
-            k4 = f(t + dt, np.array([a + dt * k for a, k in zip(x0, k3)])).tolist()
-            out = [a + w * (p + 2.0 * q + 2.0 * r + s)
-                   for a, p, q, r, s in zip(x0, k1, k2, k3, k4)]
+            (a, b), (p, p2) = x.tolist(), k1.tolist()
+            q, q2 = f(t + h, np.array([a + h * p, b + h * p2])).tolist()
+            r, r2 = f(t + h, np.array([a + h * q, b + h * q2])).tolist()
+            s, s2 = f(t + dt, np.array([a + dt * r, b + dt * r2])).tolist()
+            out = [a + w * (p + 2.0 * q + 2.0 * r + s),
+                   b + w * (p2 + 2.0 * q2 + 2.0 * r2 + s2)]
         if not all(map(math.isfinite, out)):
             raise NonFiniteState(t, "RK4 update")
         return np.array(out)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -187,9 +188,14 @@ class TestSingularGuard:
         checked, clamped = law_type(K), law_type(K)
         u = clamped.control_clamped(x)
         if abs(den) < SINGULAR_GUARD:
-            with pytest.raises(SingularInput):
+            with pytest.raises(SingularInput) as err:
                 checked.control(x)
-            assert u.tobytes() == law_type(K)._u(x, SINGULAR_GUARD).tobytes()
+            assert u.tobytes() == law_type(K)._u(x1, x2, SINGULAR_GUARD).tobytes()
+            # The error carries the float x2 and its denominator, and so
+            # does its pickled copy, as a forked worker sends it back.
+            copy = pickle.loads(pickle.dumps(err.value))
+            for exc in (err.value, copy):
+                assert (exc.x2, exc.denominator) == (x2, den)
         else:
             assert checked.control(x).tobytes() == u.tobytes()
         counts = (int(abs(den) < SINGULAR_GUARD), int(abs(den) < NEAR_SINGULAR))
@@ -317,6 +323,26 @@ class TestLeso:
             AdrcLaw(value, 2.0, [[1.0, 1.0]])
         with pytest.raises(ValueError, match="^observer bandwidth omega0"):
             AdrcLaw(2.0, value, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("omega0", [5.7e102, 1e103, 1e300, 10**400])
+    def test_rejects_a_bandwidth_whose_cube_overflows(self, omega0):
+        # The LESO gain w0^3 overflows past about 5.64e102, where Python
+        # floats raise OverflowError; an int beyond the float range
+        # raises it in the conversion.
+        with pytest.raises(ValueError, match="^observer bandwidth omega0 must be positive, "
+                                             "with a finite cube$"):
+            AdrcLaw(2.0, omega0, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("omega0", [1e-300, 5.6e102])
+    def test_accepts_a_bandwidth_with_a_finite_cube(self, omega0):
+        # 1e-300 cubes to 0.0, and 5.6e102 to about 1.76e308.
+        law = AdrcLaw(2.0, omega0, [[1.0, 1.0]])
+        assert np.isfinite(law._L).all() and law._gains[2] == omega0 ** 3
+
+    def test_shipped_bandwidth_keeps_its_gains(self):
+        law = AdrcLaw(ADRC_B, ADRC_OMEGA0, lqr_gain(*ADRC_DESIGN))
+        assert ADRC_OMEGA0 == 2.0 and law._gains == [6.0, 12.0, 8.0]
+        assert law._L.tobytes() == leso_error_matrix(2.0).tobytes()
 
 
 @pytest.mark.parametrize("law", [LqrLaw, FlcEx3, RflcEx3,

@@ -151,10 +151,11 @@ class TestRk4OneVector:
     def test_has_the_bits_of_its_batch_row(self, case):
         # Edge values, many of whose steps overflow, and values whose
         # steps stay finite, so most examples compare finite sums.
+        # Widths 1 and 2 sum on floats, 3 and 4 in the array expressions.
         f, x, t, dt = case
         single = outcome(rk4_step, f, t, x, dt)
-        event("NonFiniteState" if isinstance(single, tuple)
-              else f"finite, {x.size} component(s)")
+        width = {1: "1 component", 2: "2 components"}.get(x.size, "3 or 4 components")
+        event(("NonFiniteState, " if isinstance(single, tuple) else "finite, ") + width)
         batch = outcome(rk4_step, f, t, np.stack([x, x, x]), dt)
         if isinstance(single, tuple):
             assert batch == single
@@ -163,19 +164,21 @@ class TestRk4OneVector:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_one_component_has_the_bits_of_each_zipped_component(self, data):
-        # A one-component state unpacks its floats; a longer one zips
-        # them.  Under an elementwise field, component k of the zipped
-        # step is the unpacked step of component k.  The values keep
-        # every step finite, so each example compares four components.
+    def test_each_component_has_the_bits_of_its_one_component_step(self, data):
+        # One- and two-component states unpack their floats; wider ones
+        # take the array expressions.  Under an elementwise field,
+        # component k of a two-, three- or four-component step is the
+        # one-component step of component k.  The values keep every step
+        # finite, so each example compares 2, 3 and 4 components.
         c, d, x = (data.draw(hnp.arrays(np.float64, 4, elements=FINITE_STEP_FLOATS))
                    for _ in range(3))
         t = data.draw(st.floats(-1e3, 1e3))
         dt = data.draw(st.floats(1e-6, 1.0))
-        zipped = rk4_step(lambda _t, xi: c * xi + d, t, x, dt)
         ones = [rk4_step(lambda _t, xi, k=k: c[k:k + 1] * xi + d[k:k + 1],
                          t, x[k:k + 1], dt) for k in range(4)]
-        assert np.concatenate(ones).tobytes() == zipped.tobytes()
+        for n in (2, 3, 4):
+            wide = rk4_step(lambda _t, xi: c[:n] * xi + d[:n], t, x[:n], dt)
+            assert np.concatenate(ones[:n]).tobytes() == wide.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(case=affine_rk4_cases())
