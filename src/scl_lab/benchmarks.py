@@ -22,7 +22,7 @@ from .controllers import (
     PidTrackingLaw,
     RflcEx3,
 )
-from .decomposition import CompositeLaw, example_decomposition
+from .decomposition import CompositeLaw, example_decomposition, run_jobs
 from .metrics import PerformanceReport, report
 from .numerics import CareProblem, DEFAULT_DT, solve_care
 from .plants import (
@@ -150,21 +150,23 @@ class Table1:
         out = [["Sce.", "Index"] + [m.upper() for m in METHODS]]
         for sc in SCENARIOS_EX3:
             for index in ("iae", "itae"):
-                row = [f"({sc})", index.upper()]
-                for method in METHODS:
-                    v = getattr(self.cells[(sc, method)], index)
-                    row.append("-" if v is None else f"{v:.3f}")
-                out.append(row)
+                values = [getattr(self.cells[(sc, method)], index) for method in METHODS]
+                out.append([f"({sc})", index.upper()]
+                           + ["-" if v is None else f"{v:.3f}" for v in values])
         return out
 
 
+def _table1_cell(scenario: str, method: str, dt: float) -> PerformanceReport:
+    """One table1 cell's report; its trace stays where the cell ran."""
+    return run("ex3", method, scenario=scenario, dt=dt)[1]
+
+
 def table1(dt: float = DEFAULT_DT) -> Table1:
-    """Run all 5 methods x 4 scenarios of ex3, once ``dt`` fits every grid."""
+    """Run all 5 methods x 4 scenarios of ex3, once ``dt`` fits every grid;
+    the sclc and adrc cells, which run an observer, in run_jobs's worker."""
     for sc in build_example("ex3")[1]:
         sc.grid(dt)
-    cells = {}
-    for sc in SCENARIOS_EX3:
-        for method in METHODS:
-            _, rep = run("ex3", method, scenario=sc, dt=dt)
-            cells[(sc, method)] = rep
-    return Table1(cells)
+    cells = [(sc, method) for sc in SCENARIOS_EX3 for method in METHODS]
+    reports = run_jobs([(method in ("sclc", "adrc"), _table1_cell, (sc, method, dt))
+                        for sc, method in cells])
+    return Table1(dict(zip(cells, reports)))

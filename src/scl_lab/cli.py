@@ -162,9 +162,8 @@ def cmd_table1(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "table1.csv").open("w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows]
-    text = "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    text = "".join("  ".join(map(str.rjust, r, widths)) + "\n" for r in rows)
     (out_dir / "table1.txt").write_text(text)
     print(text, end="")
     print(f"-> {out_dir}/table1.csv, {out_dir}/table1.txt")

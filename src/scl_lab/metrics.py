@@ -51,10 +51,8 @@ def saturation_interval(trace: SimulationTrace) -> Optional[Tuple[float, float]]
     idx = np.flatnonzero(trace.sat_active)
     if idx.size == 0:
         return None
-    t_enter = float(trace.t[idx[0]])
-    last = int(idx[-1])
-    t_exit = float(trace.t[min(last + 1, len(trace) - 1)])
-    return (t_enter, t_exit)
+    exit_row = min(int(idx[-1]) + 1, len(trace) - 1)
+    return (float(trace.t[idx[0]]), float(trace.t[exit_row]))
 
 
 def classify(trace: SimulationTrace) -> str:

@@ -3,10 +3,12 @@ its one law or is rejected with the reason the benchmark set gives."""
 
 import itertools
 import math
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,9 +205,64 @@ def test_table1_checks_every_grid_before_its_first_cell(monkeypatch):
         return None, None
 
     monkeypatch.setattr(benchmarks, "run", counting_run)
-    with pytest.raises(GridError, match="does not divide the span 0.2$"):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    with pytest.raises(GridError, match="does not divide the span 0.2$"), \
+            mock.patch.object(os, "fork", side_effect=AssertionError) as fork:
         benchmarks.table1(dt=0.0625)
     assert calls == []
+    assert fork.call_count == 0
+
+
+@pytest.fixture(scope="module")
+def coarse_tables():
+    """``table1(dt=0.01)`` with 2 usable CPUs, with 1, and with 2 in a
+    daemonic process, keyed ``(cpus, daemon)``: the rows, the reprs of
+    the cells' reports, the forks and the cells run in the calling
+    process (a worker's runs are not seen here)."""
+    caller, original = os.getpid(), benchmarks.run
+    tables = {}
+    for cpus, daemon in ((2, False), (1, False), (2, True)):
+        ran_here = []
+
+        def run(example, method, scenario, dt):
+            if os.getpid() == caller:
+                ran_here.append((scenario, method))
+            return original(example, method, scenario, dt)
+
+        with pytest.MonkeyPatch.context() as mp, \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                       raising=False)
+            mp.setattr(multiprocessing.current_process(), "daemon", daemon)
+            mp.setattr(benchmarks, "run", run)
+            table = benchmarks.table1(dt=0.01)
+        tables[cpus, daemon] = (table.rows(), repr(table.cells),
+                                fork.call_count, ran_here)
+    assert multiprocessing.active_children() == []
+    return tables
+
+
+def test_table1_forks_once_with_two_usable_cpus(coarse_tables):
+    forks = {key: table[2] for key, table in coarse_tables.items()}
+    assert forks == {(2, False): 1, (1, False): 0, (2, True): 0}
+
+
+def test_table1_has_the_same_rows_and_reports_without_its_worker(coarse_tables):
+    # On one CPU, or in a daemonic process, the caller runs the worker's
+    # cells itself, with the same bits.
+    results = {key: table[:2] for key, table in coarse_tables.items()}
+    assert len(set(map(repr, results.values()))) == 1, results
+    assert len(results[2, False][0]) == 9
+
+
+def test_table1_runs_the_observer_cells_in_its_worker(coarse_tables):
+    # The sclc and adrc cells go to the worker; the caller runs the rest,
+    # each set in table order.
+    cells = [(sc, m) for sc in SCENARIOS_EX3 for m in METHODS]
+    assert coarse_tables[2, False][3] == [(sc, m) for sc, m in cells
+                                          if m not in ("sclc", "adrc")]
+    assert coarse_tables[1, False][3] == coarse_tables[2, True][3] == cells
 
 
 def expm_reference(method, scenario):
