@@ -94,17 +94,12 @@ def _law(example: str, method: str, plant: PlantModel,
         pid = PidTrackingLaw(PID_EX1 if example == "ex1" else PID_EX2,
                              lambda x: float(plant.output(x)[0]))
         return CompositeLaw(dec, pid) if method == "sclc" else pid
+    K = lqr_gain(*{"flc": FLC_DESIGN, "adrc": ADRC_DESIGN}.get(method, (dec.A1, dec.B1)))
     if method == "sclc":
-        return CompositeLaw(dec, LqrLaw(lqr_gain(dec.A1, dec.B1)),
-                            BacksteppingSecondary(BACKSTEPPING))
-    if method == "jlc":
-        # Shares the decomposition's (A1, B1) by construction.
-        return LqrLaw(lqr_gain(dec.A1, dec.B1))
-    if method == "flc":
-        return FlcEx3(lqr_gain(*FLC_DESIGN))
-    if method == "rflc":
-        return RflcEx3(lqr_gain(dec.A1, dec.B1))
-    return AdrcLaw(ADRC_B, ADRC_OMEGA0, lqr_gain(*ADRC_DESIGN))
+        return CompositeLaw(dec, LqrLaw(K), BacksteppingSecondary(BACKSTEPPING))
+    if method == "adrc":
+        return AdrcLaw(ADRC_B, ADRC_OMEGA0, K)
+    return {"jlc": LqrLaw, "flc": FlcEx3, "rflc": RflcEx3}[method](K)
 
 
 def build_run(example: str, method: str,

@@ -110,11 +110,11 @@ def as_matrix(M, rows: Optional[int] = None, cols: Optional[int] = None,
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``A @ x`` for one vector ``(n,)``, and row by row for a batch
-    ``(B, n)`` with each row equal to the single call, but for the sign
-    of a zero when ``n == 1`` (README, simulation conventions)."""
-    if x.ndim == 1:
-        return A.dot(x)
-    return (A @ x[..., None])[..., 0]
+    ``(B, n)`` with each row the bits of the single call, signed zeros
+    included (README, simulation conventions)."""
+    if A.shape[1] == 1:  # the plain product, which a BLAS kernel may fuse
+        return x * A.ravel()
+    return A.dot(x) if x.ndim == 1 else (A @ x[..., None])[..., 0]
 
 
 def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
@@ -160,27 +160,26 @@ def rk4_step(f: Callable, t: float, x: np.ndarray, dt: float) -> np.ndarray:
 
 def rk4_linear(A, x: np.ndarray, b: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One RK4 step of ``x' = A x + b``, ``b`` held: ``T x + S b`` of a cached
-    ``rk4_affine`` for ``n >= 2``, the stage sums of ``rk4_step`` for a 1x1 ``A``
+    ``rk4_affine`` for ``n >= 2``, ``rk4_step``'s stage sums for a 1x1 ``A``
     (README, simulation conventions).  A non-finite update raises NonFiniteState."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    one = x.shape == b.shape == (1,) and x.dtype is A.dtype is b.dtype is _FLOAT64
     if A.shape != (1, 1):
         T, S = _affine_maps(A.dtype, A.shape, A.tobytes(), dt)
         out = matvec(T, x) + matvec(S, b)
-        if not np.isfinite(out).all():
-            raise NonFiniteState(t, "RK4 update")
-        return out
-    # ex1's 1x1 A becomes T*s + S*c in the benchmark change that re-records its digest.
-    if x.shape == b.shape == (1,) and x.dtype is A.dtype is b.dtype is _FLOAT64:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        a, s, c, h = A.item(), x.item(), b.item(), 0.5 * dt
+    else:
+        # ex1's 1x1 A becomes T*s + S*c in the benchmark change that re-records its digest.
+        a, s, c = ((A.item(), x.item(), b.item()) if one
+                   else (float(A[0, 0]), np.asarray(x, float), np.asarray(b, float)))
+        h = 0.5 * dt
         p = a * s + c
         q = a * (s + h * p) + c
         r = a * (s + h * q) + c
         out = s + dt / 6.0 * (p + 2.0 * q + 2.0 * r + (a * (s + dt * r) + c))
-        if not math.isfinite(out):
-            raise NonFiniteState(t, "RK4 update")
-        return np.array([out])
-    return rk4_step(lambda _t, v: matvec(A, v) + b, t, x, dt)
+    if not (math.isfinite(out) if one else np.isfinite(out).all()):
+        raise NonFiniteState(t, "RK4 update")
+    return np.array([out]) if one else out
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,8 +2,7 @@
 
 The ex1 and ex3 fields index components as ``x.T[k]``: float64 scalars
 on one state, which skip the per-call array dispatch of a single-lane
-step, and the ``(B,)`` columns on a batch.  Each field adds its
-disturbance last (README, simulation conventions).
+step, and the ``(B,)`` columns on a batch (README, simulation conventions).
 """
 
 from __future__ import annotations

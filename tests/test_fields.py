@@ -11,9 +11,11 @@ the single call on lane k.
 The same per-lane identity holds for the ex1 and ex2 fields and for
 ``Decomposition.advance`` on every shipped model, which is what lets
 ``replay_observer`` batch the run's observer steps and still find them
-exact.  ``matvec`` and ``LqrLaw`` multiply one vector with ``.dot``,
-which must give the bits of the ``@`` product, up to the sign of a zero
-when the inner dimension is 1 (see ``matmul_bits``).
+exact.  ``matvec`` and ``LqrLaw`` multiply one vector with ``.dot``, or
+a one-column matrix as the plain product, which must give the bits of
+the ``@`` product, up to the sign of a zero when the inner dimension is
+1 (see ``matmul_bits``); a batch row of ``matvec`` has the bits of the
+one-vector call, signed zeros included.
 """
 
 import numpy as np
@@ -187,10 +189,10 @@ dims = st.integers(1, 8)
 
 def matmul_bits(product, inner):
     """``product`` with the bits ``A @ x`` must have: all of them when the
-    inner dimension exceeds 1.  With one inner entry numpy's dot scales
-    a column (a 1x1 ``A`` is a plain product), so a zero entry may keep
-    the -0.0 that ``A @ x``, a sum from +0.0, turns into +0.0; adding
-    +0.0 maps -0.0 to +0.0 and leaves every other value's bits alone."""
+    inner dimension exceeds 1.  With one inner entry ``matvec`` takes the
+    plain product, so a zero entry may keep the -0.0 that ``A @ x``, a
+    sum from +0.0, turns into +0.0; adding +0.0 maps -0.0 to +0.0 and
+    leaves every other value's bits alone."""
     return product if inner > 1 else product + 0.0
 
 
@@ -204,16 +206,23 @@ class TestDotProducts:
         batch = data.draw(batches(cols))
         out = matvec(A, batch)
         assert out.shape == (batch.shape[0], rows)
-        assert lanes_match_single_calls(out, lambda xk: A @ xk, batch)
-        assert lanes_match_single_calls(
-            out, lambda xk: matmul_bits(matvec(A, xk), cols), batch)
+        assert lanes_match_single_calls(out, lambda xk: matvec(A, xk), batch)
+        assert lanes_match_single_calls(matmul_bits(out, cols), lambda xk: A @ xk, batch)
 
     @pytest.mark.parametrize("a,x", [(-1.0, 0.0), (0.0, -0.0), (-0.0, 0.0)])
     def test_one_by_one_keeps_the_sign_of_a_zero_product(self, a, x):
         A, v = np.array([[a]]), np.array([x])
         assert same_bits(matvec(A, v), np.array([-0.0]))
         assert same_bits(A @ v, np.array([0.0]))
-        assert same_bits(matvec(A, v[None]), np.array([[0.0]]))
+        assert same_bits(matvec(A, v[None]), np.array([[-0.0]]))
+
+    def test_one_column_keeps_the_sign_of_an_underflowing_product(self):
+        # 1e-200 * -1e-200 rounds to -0.0, where a fused BLAS kernel (the
+        # AVX-512 gemv) may keep or drop the sign; matvec takes the product.
+        A, v = np.array([[1e-200], [0.0], [2.0]]), np.array([-1e-200])
+        expected = np.array([-0.0, -0.0, -2e-200])
+        assert same_bits(matvec(A, v), expected)
+        assert same_bits(matvec(A, v[None]), expected[None])
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 3), n=dims, data=st.data())
@@ -245,11 +254,13 @@ class TestObserverStep:
     @settings(max_examples=300, deadline=None)
     @given(model=st.sampled_from(sorted(OBSERVER_MODELS)), data=st.data())
     def test_zero_signals_keep_the_bits_of_the_matmul_step(self, model, data):
-        # Exact zeros, of both signs, are where matvec's one-vector .dot
-        # and ``@`` can differ (in the sign of a zero product); the
-        # shipped model fields absorb it, so the step keeps the bits of
-        # the ``@`` form and of its batched row: rk4_step's stages for
-        # ex1's 1x1 A1, the closed form ``T xs + S drive`` for n >= 2.
+        # Exact zeros, of both signs, are where matvec's one-column
+        # product and ``@`` can differ (in the sign of a zero).  The
+        # shipped model fields add their disturbance, +0.0 in the model,
+        # last, so they never return -0.0 and the step keeps the bits of
+        # the ``@`` form: rk4_step's stages for ex1's 1x1 A1, the closed
+        # form ``T xs + S drive`` for n >= 2.  Its batched row has its
+        # bits whatever the field returns, as matvec's rows do.
         dec = OBSERVER_MODELS[model]()
         xs, x, u, u_s = (
             data.draw(arrays(np.float64, cols, elements=signed_zeros_and_units))

@@ -243,6 +243,15 @@ def closed_form(A, x, b, t, dt):
     return out
 
 
+def batch_rows_are_single_steps(case):
+    """A batch step has the bits of its rows' one-state steps; a batch
+    that fails has a row that fails at the same ``t``."""
+    A, x, b, t, dt = case
+    batch = outcome(rk4_linear, *case)
+    rows = [outcome(rk4_linear, A, xk, bk, t, dt) for xk, bk in zip(x, b)]
+    return batch in rows if isinstance(batch, tuple) else batch == rows
+
+
 class TestRk4Linear:
     # Bits when finite, else NonFiniteState at the same t.
     @settings(max_examples=150, deadline=None)
@@ -268,14 +277,22 @@ class TestRk4Linear:
     def test_wider_batch_rows_have_the_bits_of_single_steps(self, case):
         # T x and S b have an inner dimension of at least 2, where a
         # batch row's product rounds as the one-vector product, signed
-        # zeros included; a batch that fails has a row that fails.
-        A, x, b, t, dt = case
-        batch = outcome(rk4_linear, *case)
-        rows = [outcome(rk4_linear, A, xk, bk, t, dt) for xk, bk in zip(x, b)]
-        if isinstance(batch, tuple):
-            assert batch in rows
-        else:
-            assert batch == rows
+        # zeros included.
+        assert batch_rows_are_single_steps(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=linear_cases(wide=False).filter(lambda case: case[1].ndim == 2))
+    def test_one_by_one_batch_rows_have_the_bits_of_single_steps(self, case):
+        # A batch runs the one-state float sums on float64 arrays, a*s as
+        # the plain product, so a row keeps its signed zeros.
+        assert batch_rows_are_single_steps(case)
+
+    def test_a_float32_batch_steps_in_float64(self):
+        A = np.array([[-0.3]])
+        x, b = np.array([[0.7], [-0.0]], np.float32), np.array([[0.1], [0.2]], np.float32)
+        assert rk4_linear(A, x, b, 0.0, 0.1).dtype == np.float64
+        assert (outcome(rk4_linear, A, x, b, 0.0, 0.1)
+                == outcome(rk4_linear, A, x.astype(float), b.astype(float), 0.0, 0.1))
 
     def test_cached_maps_follow_the_matrix_and_the_step(self):
         A1 = np.array([[-1.0, 2.0], [0.5, -3.0]])
