@@ -10,12 +10,10 @@ that reruns the benchmark suite.
 
 from .controllers import (
     AdrcLaw,
-    BacksteppingParams,
     BacksteppingSecondary,
     ControlLaw,
     FlcEx3,
     LqrLaw,
-    PidGains,
     PidTrackingLaw,
     RflcEx3,
     SingularInput,

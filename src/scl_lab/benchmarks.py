@@ -13,12 +13,10 @@ import numpy as np
 
 from .controllers import (
     AdrcLaw,
-    BacksteppingParams,
     BacksteppingSecondary,
     ControlLaw,
     FlcEx3,
     LqrLaw,
-    PidGains,
     PidTrackingLaw,
     RflcEx3,
 )
@@ -37,11 +35,11 @@ from .plants import (
 METHODS = ("sclc", "jlc", "flc", "rflc", "adrc")
 SCENARIOS_EX3 = tuple(sc.label for sc in build_example("ex3")[1])
 
-PID_EX1 = PidGains(0.66, 1.33, -0.02)
-PID_EX2 = PidGains(-0.5, -1.3, 0.0)
+PID_EX1 = (0.66, 1.33, -0.02)  # (kp, ki, kd)
+PID_EX2 = (-0.5, -1.3, 0.0)
 LQR_Q = np.diag([10.0, 10.0])
 LQR_R = np.array([[1.0]])
-BACKSTEPPING = BacksteppingParams(a=10.0, c=10.0)
+BACKSTEPPING = (10.0, 10.0)  # (a, c)
 ADRC_OMEGA0 = 2.0
 ADRC_B = 2.0  # 1 + cos x2 at the origin
 
@@ -96,7 +94,7 @@ def _law(example: str, method: str, plant: PlantModel,
         return CompositeLaw(dec, pid) if method == "sclc" else pid
     K = lqr_gain(*{"flc": FLC_DESIGN, "adrc": ADRC_DESIGN}.get(method, (dec.A1, dec.B1)))
     if method == "sclc":
-        return CompositeLaw(dec, LqrLaw(K), BacksteppingSecondary(BACKSTEPPING))
+        return CompositeLaw(dec, LqrLaw(K), BacksteppingSecondary(*BACKSTEPPING))
     if method == "adrc":
         return AdrcLaw(ADRC_B, ADRC_OMEGA0, K)
     return {"jlc": LqrLaw, "flc": FlcEx3, "rflc": RflcEx3}[method](K)

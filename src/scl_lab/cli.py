@@ -28,6 +28,7 @@ from .benchmarks import (
 from .decomposition import (
     UnstableA1,
     exactness_suite,
+    example_decomposition,
     make_decomposition,
     replay_observer,
     run_jobs,
@@ -201,16 +202,17 @@ def _sclc_run(example: str, scenario: Optional[str], dt: float) -> _ReplayColumn
 
 
 def cmd_observer_check(args) -> int:
-    runs = [(ex, sc) for ex in EXAMPLES for sc in build_example(ex)[1]]
-    for _, sc in runs:
+    runs = [(ex, plant, sc) for ex in EXAMPLES
+            for plant, scenarios in [build_example(ex)] for sc in scenarios]
+    for _, _, sc in runs:
         sc.grid(args.dt)  # every grid is checked before the first run
-    cells = [(ex, sc.label if ex == "ex3" else None) for ex, sc in runs]
+    cells = [(ex, sc.label if ex == "ex3" else None) for ex, _, sc in runs]
     # ex2 and ex3 (i) simulate in the worker, by measured cost (README, CLI).
     records = run_jobs([(cell in (("ex2", None), ("ex3", "i")), _sclc_run, (*cell, args.dt))
                         for cell in cells])
     ok = True
-    for (example, scenario), record in zip(cells, records):
-        dev = replay_observer(build_run(example, "sclc", scenario).law.dec, record)
+    for (example, scenario), (_, plant, sc), record in zip(cells, runs, records):
+        dev = replay_observer(example_decomposition(plant, sc), record)
         label = example + (f"({scenario})" if scenario else "")
         good = dev < OBSERVER_TOL
         ok = ok and good

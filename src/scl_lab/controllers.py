@@ -3,15 +3,16 @@ feedback-linearizing controllers with their singularity guards, and a
 disturbance-rejection law built on a linear extended state observer.
 
 All laws implement the small ControlLaw interface used by the simulation
-harness: ``step(x, ref, t, dt) -> u``, ``control_clamped(x)``, ``reset``
-and the declared stage-feedback and singular-event attributes.  Laws are
+harness: ``step(x, ref, t, dt) -> u``, ``control_clamped(x)``,
+``channels(u)``, ``reset`` and the declared stage-feedback and
+singular-event attributes.  Laws take their gains as plain numbers,
+checked for count and finiteness at construction.  Laws are
 deterministic for identical call sequences and single-owner mutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +27,13 @@ SINGULAR_GUARD = 1e-6
 NEAR_SINGULAR = 1e-2
 
 
-def _gain_vector(K) -> list:
-    """``K`` flattened to a list of float gains, all of them finite."""
+def _gain_vector(K, size: int, name: str) -> list:
+    """``K`` flattened to a list of ``size`` float gains, all of them finite."""
     K = np.asarray(K, dtype=float).ravel()
+    if K.size != size:
+        raise ValueError(f"{name} must hold {size} gains, got {K.size}")
     if not np.isfinite(K).all():
-        raise ValueError("K has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries")
     return K.tolist()
 
 
@@ -84,20 +87,9 @@ class ControlLaw:
         return u, 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class PidGains:
-    kp: float
-    ki: float
-    kd: float
-
-    def __post_init__(self):
-        for g in (self.kp, self.ki, self.kd):
-            if not math.isfinite(g):
-                raise ValueError("PID gains must be finite")
-
-
 class PidTrackingLaw(ControlLaw):
-    """Textbook discrete PID on the tracking error ref - output_map(x).
+    """Textbook discrete PID, gains ``(kp, ki, kd)``, on the tracking
+    error ref - output_map(x).
 
     ``output_map`` extracts the scalar controlled output from whatever
     state vector the law is fed (the raw plant state, or a primary-state
@@ -109,8 +101,8 @@ class PidTrackingLaw(ControlLaw):
 
     name = "pid"
 
-    def __init__(self, gains: PidGains, output_map):
-        self.gains = gains
+    def __init__(self, gains, output_map):
+        self.kp, self.ki, self.kd = _gain_vector(gains, 3, "(kp, ki, kd)")
         self.output_map = output_map
         self.reset()
 
@@ -122,8 +114,7 @@ class PidTrackingLaw(ControlLaw):
         self.integral += 0.5 * dt * (e + e_prev)
         derivative = (e - e_prev) / dt
         self._e_prev = e
-        g = self.gains
-        return np.array([g.kp * e + g.ki * self.integral + g.kd * derivative])
+        return np.array([self.kp * e + self.ki * self.integral + self.kd * derivative])
 
     def reset(self):
         self.integral = 0.0
@@ -166,18 +157,6 @@ class ZeroLaw(ControlLaw):
         return np.zeros(self.m)
 
 
-@dataclass(frozen=True)
-class BacksteppingParams:
-    a: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "c"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"backstepping parameter {name} must be "
-                                 "positive and finite")
-
-
 class BacksteppingSecondary:
     """Recursive stabilizer for the two-state remainder system.
 
@@ -186,11 +165,15 @@ class BacksteppingSecondary:
     plant nonlinearity cancels exactly.
     """
 
-    def __init__(self, params: BacksteppingParams):
-        self.params = params
+    def __init__(self, a: float, c: float):
+        for name, value in (("a", a), ("c", c)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"backstepping parameter {name} must be "
+                                 "positive and finite")
+        self.a, self.c = _gain_vector((a, c), 2, "(a, c)")
 
     def u_s(self, x, xhat_s) -> np.ndarray:
-        a, c = self.params.a, self.params.c
+        a, c = self.a, self.c
         _, x2 = x.tolist()
         s1, s2 = xhat_s.tolist()
         z2 = s2 + a * math.atan(s1)
@@ -215,7 +198,7 @@ class _SingularGuardLaw(ControlLaw):
     stage_feedback = True
 
     def __init__(self, K):
-        self.K = _gain_vector(K)
+        self.K = _gain_vector(K, 2, "K")
         self.reset()
 
     def reset(self):
@@ -309,7 +292,7 @@ class AdrcLaw(ControlLaw):
             raise ValueError("observer bandwidth omega0 must be positive, with a finite cube")
         self.b = float(b)
         self.omega0 = float(omega0)
-        self.K = _gain_vector(K)
+        self.K = _gain_vector(K, 2, "K")
         self._gains = (-self._L[:, 0]).tolist()  # (3 w0, 3 w0^2, w0^3)
         self.reset()
 

@@ -18,9 +18,13 @@ import scipy.linalg
 import scl_lab
 from scl_lab import benchmarks, plants
 from scl_lab.benchmarks import (
+    ADRC_DESIGN,
+    BACKSTEPPING,
     EXAMPLES,
     FLC_DESIGN,
     METHODS,
+    PID_EX1,
+    PID_EX2,
     SCENARIOS_EX3,
     ConfigError,
     build_run,
@@ -85,6 +89,28 @@ def test_cell_builds_its_law_or_is_rejected(example, method):
         assert not law.stage_feedback
     if law_type is LqrLaw:
         assert law.stage_feedback
+
+
+def bits(gains):
+    """The gains' bits, each of them a Python float."""
+    assert all(type(g) is float for g in gains), gains
+    return [g.hex() for g in gains]
+
+
+def test_laws_hold_the_benchmark_numbers():
+    # Each law keeps the gains it was built from, bit for bit.
+    for law, gains in ((build_run("ex1", "sclc").law.primary, PID_EX1),
+                       (build_run("ex2", "sclc").law.primary, PID_EX2),
+                       (build_run("ex2", "jlc").law, PID_EX2)):
+        assert bits([law.kp, law.ki, law.kd]) == bits(gains)
+    dec = make_decomposition(build_example3()[0])
+    designs = {"flc": FLC_DESIGN, "rflc": (dec.A1, dec.B1), "adrc": ADRC_DESIGN}
+    for sc in SCENARIOS_EX3:
+        secondary = build_run("ex3", "sclc", sc).law.secondary
+        assert bits([secondary.a, secondary.c]) == bits(BACKSTEPPING)
+        for method, design in designs.items():
+            K = lqr_gain(*design).ravel().tolist()
+            assert bits(build_run("ex3", method, sc).law.K) == bits(K), (method, sc)
 
 
 @pytest.mark.parametrize("method", METHODS)

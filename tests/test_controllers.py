@@ -17,12 +17,10 @@ from scl_lab.benchmarks import (
 )
 from scl_lab.controllers import (
     AdrcLaw,
-    BacksteppingParams,
     BacksteppingSecondary,
     ControlLaw,
     FlcEx3,
     LqrLaw,
-    PidGains,
     PidTrackingLaw,
     NEAR_SINGULAR,
     SINGULAR_GUARD,
@@ -35,7 +33,7 @@ from scl_lab.numerics import CareProblem, NonFiniteState, eigenvalues, solve_car
 
 def tracking_pid(kp, ki, kd):
     """The PID law on a zero output, so its tracking error is ``ref``."""
-    return PidTrackingLaw(PidGains(kp, ki, kd), lambda x: 0.0)
+    return PidTrackingLaw((kp, ki, kd), lambda x: 0.0)
 
 
 def update(law, e, dt):
@@ -84,6 +82,22 @@ class TestPid:
         assert pid.integral == 0.0
         assert update(pid, 2.0, 1e-3) == pytest.approx(2.0 + 0.002, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_rejects_a_non_finite_gain(self, slot, value):
+        gains = [1.0, 1.0, 1.0]
+        gains[slot] = value
+        with pytest.raises(ValueError, match=r"^\(kp, ki, kd\) has non-finite entries$"):
+            tracking_pid(*gains)
+
+    @pytest.mark.parametrize("gains, count", [((1.0, 2.0), 2), ((1.0, 2.0, 3.0, 4.0), 4),
+                                              (((1.0, 2.0), (3.0, 4.0)), 4)],
+                             ids=["2", "4", "2x2"])
+    def test_rejects_gains_that_are_not_three_numbers(self, gains, count):
+        with pytest.raises(ValueError,
+                           match=rf"^\(kp, ki, kd\) must hold 3 gains, got {count}$"):
+            PidTrackingLaw(gains, lambda x: 0.0)
+
 
 class TestLqr:
     def test_scalar_gain(self):
@@ -100,29 +114,29 @@ class TestLqr:
 
 class TestBackstepping:
     def test_origin(self):
-        law = BacksteppingSecondary(BACKSTEPPING)
+        law = BacksteppingSecondary(*BACKSTEPPING)
         assert law.u_s(np.zeros(2), np.zeros(2))[0] == 0.0
 
     def test_zero_remainder_estimate(self):
-        law = BacksteppingSecondary(BACKSTEPPING)
+        law = BacksteppingSecondary(*BACKSTEPPING)
         u = law.u_s(np.array([2.0, 2.0]), np.zeros(2))[0]
         assert u == pytest.approx(-8.0 - 10.0 * math.sin(2.0), abs=1e-12)
 
     def test_surface_term(self):
-        law = BacksteppingSecondary(BACKSTEPPING)
+        law = BacksteppingSecondary(*BACKSTEPPING)
         u = law.u_s(np.array([0.0, 0.0]), np.array([1.0, 0.0]))[0]
         assert u == pytest.approx(2.0 - 100.0 * math.pi / 4.0, abs=1e-12)
 
     def test_parameters_must_be_positive(self):
         with pytest.raises(ValueError):
-            BacksteppingParams(a=0.0, c=10.0)
+            BacksteppingSecondary(0.0, 10.0)
 
     @pytest.mark.parametrize("name", ["a", "c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_parameters_must_be_finite(self, name, value):
         params = {"a": 10.0, "c": 10.0, name: value}
         with pytest.raises(ValueError, match=f"parameter {name} must be"):
-            BacksteppingParams(**params)
+            BacksteppingSecondary(**params)
 
 
 class TestFlc:
@@ -353,6 +367,17 @@ def test_laws_reject_a_non_finite_gain(law, value):
         law([[1.7, value]])
 
 
+@pytest.mark.parametrize("law", [FlcEx3, RflcEx3,
+                                 lambda K: AdrcLaw(ADRC_B, ADRC_OMEGA0, K)],
+                         ids=["flc", "rflc", "adrc"])
+@pytest.mark.parametrize("K", [[1.7], [1.7, 2.1, 0.5], [[1.7, 2.1], [0.5, 0.3]]],
+                         ids=["1", "3", "2x2"])
+def test_laws_reject_a_gain_of_the_wrong_size(law, K):
+    # Refused at construction: no first entries used, no IndexError at a step.
+    with pytest.raises(ValueError, match=f"^K must hold 2 gains, got {np.size(K)}$"):
+        law(K)
+
+
 class TestMethodEquivalence:
     def test_composite_equals_comparison_law_plus_secondary_at_zero_remainder(self):
         sclc = build_run("ex3", "sclc").law
@@ -360,5 +385,5 @@ class TestMethodEquivalence:
         x0 = np.array([2.0, 2.0])
         u_sclc = sclc.step(x0, 0.0, 0.0, 1e-3)[0]
         u_jlc = jlc.step(x0, 0.0, 0.0, 1e-3)[0]
-        u_s = BacksteppingSecondary(BACKSTEPPING).u_s(x0, np.zeros(2))[0]
+        u_s = BacksteppingSecondary(*BACKSTEPPING).u_s(x0, np.zeros(2))[0]
         assert u_sclc == pytest.approx(u_jlc + u_s, abs=1e-12)

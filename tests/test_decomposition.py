@@ -23,6 +23,7 @@ from scl_lab.decomposition import (
     ExactnessCase,
     UnstableA1,
     ZeroReferenceGain,
+    example_decomposition,
     make_decomposition,
     make_decomposition_ex1,
     replay_observer,
@@ -33,6 +34,7 @@ from scl_lab.plants import (
     PlantModel,
     Scenario,
     SimulationTrace,
+    build_example,
     build_example1,
     build_example2,
     build_example3,
@@ -203,9 +205,19 @@ class TestObserver:
     @pytest.mark.parametrize("example, scenario", SCLC_CELLS)
     def test_replay_is_exact_on_every_composite_cell(self, bench, example, scenario):
         # Replay steps through the same ``advance`` on the recorded
-        # (x, u, u_s), so it repeats the run's arithmetic bit for bit.
+        # (x, u, u_s), so it repeats the run's arithmetic bit for bit,
+        # on the law's model and on the catalogue's, which observer-check
+        # replays against: the two are the same model.
         trace, _ = bench.cell(example, "sclc", scenario)
-        assert replay_observer(build_run(example, "sclc", scenario).law.dec, trace) == 0.0
+        law_dec = build_run(example, "sclc", scenario).law.dec
+        plant, scenarios = build_example(example)
+        [sc] = [s for s in scenarios if scenario in (None, s.label)]
+        catalogue = example_decomposition(plant, sc)
+        assert (catalogue.n, catalogue.m) == (law_dec.n, law_dec.m)
+        assert catalogue.A1.tobytes() == law_dec.A1.tobytes()
+        assert catalogue.B1.tobytes() == law_dec.B1.tobytes()
+        for dec in (law_dec, catalogue):
+            assert replay_observer(dec, trace) == 0.0
 
     @pytest.mark.parametrize("bad", ["x", "u"])
     def test_non_finite_input_raises(self, bad):
@@ -347,7 +359,7 @@ class TestCompositeLaw:
         K = lqr_gain(np.array([[0.0, 2.0], [-2.0, -3.0]]),
                      np.array([[0.0], [1.0]]))
         u_p = -(K @ x0)[0]
-        u_s = BacksteppingSecondary(BACKSTEPPING).u_s(x0, np.zeros(2))[0]
+        u_s = BacksteppingSecondary(*BACKSTEPPING).u_s(x0, np.zeros(2))[0]
         assert u_s == pytest.approx(-8.0 - 10.0 * math.sin(2.0), abs=1e-12)
         assert u[0] == pytest.approx(u_p + u_s, abs=1e-12)
         law_u_p, law_u_s, _ = setup.law.channels(u)
@@ -363,7 +375,7 @@ class TestCompositeLaw:
                          t_end=1.0)
         dec = setup.law.dec
         K = lqr_gain(dec.A1, dec.B1)
-        laws = [CompositeLaw(dec, LqrLaw(K), BacksteppingSecondary(BACKSTEPPING))
+        laws = [CompositeLaw(dec, LqrLaw(K), BacksteppingSecondary(*BACKSTEPPING))
                 for _ in range(2)]
         for k in range(len(trace)):
             for law in laws:

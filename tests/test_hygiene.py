@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: stdlib ``ast`` only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,41 @@ def test_detects_an_unused_import():
     source = ("from typing import List, Tuple\nimport numpy as np\n"
               "import os.path\n\ndef f(x: 'List[int]'):\n    return np.sum(x)\n")
     assert unused_imports(source) == ["Tuple (line 1)", "os (line 3)"]
+
+
+# What the runtime may import: the standard library and numpy, nothing
+# the test extras bring (pyproject.toml's runtime dependencies).
+RUNTIME_IMPORTS = sys.stdlib_module_names | {"numpy"}
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level packages that ``source`` imports from outside
+    ``RUNTIME_IMPORTS``, wherever the import sits; a relative import
+    stays inside the package and is not one of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        found.extend(f"{root} (line {node.lineno})" for root in roots
+                     if root not in RUNTIME_IMPORTS)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_detects_a_foreign_import():
+    source = ("from __future__ import annotations\nimport os, scipy.linalg\n"
+              "from numpy.linalg import solve\nfrom . import numerics\n\n"
+              "def f():\n    from matplotlib import pyplot\n    import numpy, yaml\n")
+    assert foreign_imports(source) == ["scipy (line 2)", "matplotlib (line 7)",
+                                       "yaml (line 8)"]
 
 
 def numerics_shortcuts(source: str) -> list:
