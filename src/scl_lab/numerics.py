@@ -177,7 +177,13 @@ def rk4_linear(A, x: np.ndarray, b: np.ndarray, t: float, dt: float) -> np.ndarr
         q = a * (s + h * p) + c
         r = a * (s + h * q) + c
         out = s + dt / 6.0 * (p + 2.0 * q + 2.0 * r + (a * (s + dt * r) + c))
-    if not (math.isfinite(out) if one else np.isfinite(out).all()):
+    if one:
+        finite = math.isfinite(out)
+    elif out.ndim == 1 and out.dtype is _FLOAT64:  # one state: its floats, as simulate's command
+        finite = all(map(math.isfinite, out.tolist()))
+    else:
+        finite = np.isfinite(out).all()
+    if not finite:
         raise NonFiniteState(t, "RK4 update")
     return np.array([out]) if one else out
 

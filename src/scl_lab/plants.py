@@ -1,8 +1,10 @@
 """Benchmark plants, scenarios, input blocks, and the closed-loop harness.
 
-The ex1 and ex3 fields index components as ``x.T[k]``: float64 scalars
-on one state, which skip the per-call array dispatch of a single-lane
-step, and the ``(B,)`` columns on a batch (README, simulation conventions).
+The ex1 field indexes components as ``x.T[k]``: a float64 scalar on one
+state and the ``(B,)`` columns on a batch.  The ex3 field reads one
+float64 state and its input as Python floats (``x.tolist()``) and any
+other state as ``x.T[k]``; either skips the per-call array dispatch of a
+single-lane step (README, simulation conventions).
 """
 
 from __future__ import annotations
@@ -179,12 +181,14 @@ def _ex2_remainder(t, x, xs, u, u_s):
 
 
 def _ex3_field(t, x, u, d):
-    x1 = x.T[0]
-    x2 = x.T[1]
+    if x.ndim == 1 and x.dtype.type is np.float64:  # float32 products round in float32
+        (x1, x2), v = x.tolist(), u.tolist()[0]
+    else:
+        x1, x2, v = x.T[0], x.T[1], u.T[0]
     out = np.empty(x.shape)
     o = out.T
     o[0] = x2 + np.sin(x2)
-    o[1] = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + u.T[0]
+    o[1] = -2.0 * x1 - 3.0 * x2 + 2.0 * x2 * x2 + v
     out += d
     return out
 

@@ -1,13 +1,15 @@
 """The plant fields, the observer step, the linear products and the
 harness's batched output keep their bits.
 
-``_ex1_field``, ``_ex3_field`` and ``_ex3_remainder`` index components
-as ``x.T[k]``; the ex3 forms write through one ``out.T`` view of a
-preallocated output, and the ex1 remainder is a whole-array expression
-on the ``(..., 1)`` arrays.  The references below are the ``np.stack``
-and ``[..., 0]`` forms they replaced; the new forms must equal them bit
-for bit, on one state and on a batch, and lane k of a batch must equal
-the single call on lane k.
+``_ex1_field`` and ``_ex3_remainder`` index components as ``x.T[k]``;
+``_ex3_field`` reads one float64 state and its input as Python floats
+(``x.tolist()``) and a batch, or a state of another dtype, as ``x.T[k]``.
+The ex3 forms write through one ``out.T`` view of a preallocated output,
+and the ex1 remainder is a whole-array expression on the ``(..., 1)``
+arrays.  The references below are the ``np.stack`` and ``[..., 0]``
+forms they replaced; the new forms must equal them bit for bit, on one
+state and on a batch, and lane k of a batch must equal the single call
+on lane k.
 The same per-lane identity holds for the ex1 and ex2 fields and for
 ``Decomposition.advance`` on every shipped model, which is what lets
 ``replay_observer`` batch the run's observer steps and still find them
@@ -17,6 +19,9 @@ the ``@`` product, up to the sign of a zero when the inner dimension is
 1 (see ``matmul_bits``); a batch row of ``matvec`` has the bits of the
 one-vector call, signed zeros included.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +78,16 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def same_bits_but_nan(a, b):
+    """``same_bits`` with NaN matching NaN: where two NaNs meet in a sum,
+    IEEE 754 leaves open which one comes out, and numpy's scalar and array
+    loops need not pick alike."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan]))
+
+
 values = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -87,6 +102,8 @@ def batches(draw, cols):
 
 
 disturbances = st.one_of(st.just(0.0), vectors(2))
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.5)
 
 
 class TestEx1Field:
@@ -139,6 +156,30 @@ class TestEx3Field:
         assert same_bits(out, reference_ex3_field(0.0, x, u, d))
         for k in range(x.shape[0]):
             assert same_bits(out[k], _ex3_field(0.0, x[k], u[k], d))
+
+    @pytest.mark.parametrize("d", [0.0, np.zeros(2), np.array([-0.0, -0.0])],
+                             ids=["scalar-d", "vector-d", "negative-zero-d"])
+    def test_single_state_keeps_signed_zeros_and_non_finite_values(self, d):
+        # Values the finite strategy never draws, read as floats on one
+        # state; only a -0.0 disturbance lets a -0.0 derivative through.
+        rows = np.array(list(itertools.product(SPECIAL_FLOATS, repeat=3)))
+        x, u = rows[:, :2], rows[:, 2:]
+        with np.errstate(all="ignore"):
+            out = _ex3_field(0.0, x, u, d)
+            for k in range(rows.shape[0]):
+                single = _ex3_field(0.0, x[k], u[k], d)
+                assert same_bits_but_nan(single, reference_ex3_field(0.0, x[k], u[k], d)), rows[k]
+                assert same_bits_but_nan(single, out[k]), rows[k]
+
+    @pytest.mark.parametrize("x", [np.array([0.1, 0.7], np.float32),
+                                   np.array([3, -2**53 - 1], np.int64)],
+                             ids=["float32", "int64"])
+    @pytest.mark.parametrize("d", [0.0, np.zeros(2)], ids=["scalar-d", "vector-d"])
+    def test_single_state_of_another_dtype_keeps_its_arithmetic(self, x, d):
+        # A Python float times a float32 scalar rounds in float32 (NEP 50),
+        # so only a float64 state is read as floats.
+        u = np.array([0.3])
+        assert same_bits(_ex3_field(0.0, x, u, d), reference_ex3_field(0.0, x, u, d))
 
 
 class TestEx3Remainder:
